@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench bench-cpacache bench-compare bench-gate bench-multicore bench-gate-server bench-record opt-scoreboard alloc-guard fuzz-smoke serve loadtest server-smoke chaos-smoke mem-storm fmt fmt-check vet staticcheck vulncheck docs-check ci
+.PHONY: build examples test race bench bench-cpacache bench-compare bench-gate bench-multicore bench-gate-server bench-record opt-scoreboard repro-identity alloc-guard fuzz-smoke serve loadtest server-smoke chaos-smoke mem-storm fmt fmt-check vet staticcheck vulncheck docs-check ci
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,17 @@ opt-scoreboard:
 	$(GO) run ./cmd/benchjson -opt-gate -tolerance 0.02 \
 		OPT_SCOREBOARD.csv /tmp/opt_lane/opt_scoreboard.csv
 
+# Bit-identity of the reproduction: two Figure-7 sweeps (71 simulations
+# each) whose CSV must hash to bench/testdata/fig7.sha256; the benchmark
+# exits non-zero on a mismatch. A faster simulator has to leave every
+# simulated statistic as it was, and this is the gate that says so outside
+# the perf pipeline. The benchmark refuses GOMAXPROCS=1, so a single-core
+# host prints and skips, as bench-multicore does.
+repro-identity:
+	@if [ "$$(nproc)" -le 1 ]; then \
+		echo "single-core host: go run ./bench refuses GOMAXPROCS=1; skipping repro-identity"; exit 0; fi; \
+	$(GO) run ./bench -workload repro_fig7 -seconds 1
+
 # Fuzz smoke: a short bounded pass over every fuzz target. Go allows one
 # -fuzz pattern per invocation, so each target gets its own run.
 fuzz-smoke:
@@ -135,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzTagCollisionFallback$$' -fuzztime=10s ./pkg/cpacache/
 	$(GO) test -run=NONE -fuzz='^FuzzTouchRing$$' -fuzztime=10s ./pkg/cpacache/
 	$(GO) test -run=NONE -fuzz='^FuzzCollisionStorm$$' -fuzztime=10s ./pkg/cpacache/
+	$(GO) test -run=NONE -fuzz='^FuzzGeometricEquivalence$$' -fuzztime=10s ./internal/xrand/
 
 # Run the cache server on the default redis port (ctrl-C drains).
 serve:
@@ -204,4 +216,4 @@ vet:
 docs-check: vet
 	$(GO) run ./cmd/doccheck .
 
-ci: fmt-check vet staticcheck build examples race alloc-guard bench bench-cpacache bench-gate opt-scoreboard server-smoke chaos-smoke docs-check
+ci: fmt-check vet staticcheck build examples race alloc-guard bench bench-cpacache bench-gate opt-scoreboard repro-identity server-smoke chaos-smoke docs-check

@@ -105,7 +105,7 @@ func main() {
 
 	run := func(name string) {
 		start := time.Now()
-		simsBefore := h.Simulated()
+		simsBefore, instsBefore := h.Simulated(), h.SimulatedInsts()
 		switch name {
 		case "table1":
 			fmt.Print(experiments.Table1())
@@ -164,8 +164,13 @@ func main() {
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v, %d simulations run, %d workers]\n",
-			name, time.Since(start).Round(time.Millisecond), h.Simulated()-simsBefore, h.Parallelism())
+		elapsed := time.Since(start)
+		speed := ""
+		if minst := float64(h.SimulatedInsts()-instsBefore) / 1e6; minst > 0 {
+			speed = fmt.Sprintf(" %.1f Minst, %.1f Minst/s,", minst, minst/elapsed.Seconds())
+		}
+		fmt.Fprintf(os.Stderr, "[%s done in %v, %d simulations run,%s %d workers]\n",
+			name, elapsed.Round(time.Millisecond), h.Simulated()-simsBefore, speed, h.Parallelism())
 	}
 
 	if *experiment == "all" {

@@ -133,8 +133,6 @@ type System struct {
 	cpa   *core.System
 	cores []*cpu.Core
 
-	clock float64 // global time = min over cores (the stepping core's clock)
-
 	// Per-core snapshots backing the core.PerfSource implementation.
 	lastInsts  []uint64
 	lastCycles []float64
@@ -263,6 +261,12 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 	crossed := make([]bool, n)
 	results := make([]CoreResult, n)
 	remaining := n
+	// The cores' local clocks, side by side: picking the next core reads
+	// this one slice instead of chasing a pointer per core per event.
+	clocks := make([]float64, n)
+	for i, c := range s.cores {
+		clocks[i] = c.Cycles()
+	}
 
 	done := ctx.Done()
 	sinceCheck := 0
@@ -280,16 +284,16 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 		// Pick the core with the smallest local clock (ties: lowest id).
 		min := 0
 		for i := 1; i < n; i++ {
-			if s.cores[i].Cycles() < s.cores[min].Cycles() {
+			if clocks[i] < clocks[min] {
 				min = i
 			}
 		}
 		c := s.cores[min]
-		s.clock = c.Cycles()
 		if s.cpa != nil {
-			s.cpa.Tick(uint64(s.clock))
+			// Global time is the stepping core's clock.
+			s.cpa.Tick(uint64(clocks[min]))
 		}
-		c.Step()
+		clocks[min] = c.Step()
 
 		if !crossed[min] && c.Insts() >= s.cfg.MaxInsts {
 			crossed[min] = true

@@ -295,7 +295,9 @@ func (s *System) OnAccess(core int, addr uint64) {
 // (e)SDHs, installs the new enforcement state and halves the SDH
 // registers.
 func (s *System) Tick(cycle uint64) {
-	if !s.cfg.Partitioned() || cycle < s.nextBoundary {
+	// The boundary test goes first: it fails on nearly every call, and
+	// Partitioned copies the whole Config to read one field.
+	if cycle < s.nextBoundary || !s.cfg.Partitioned() {
 		return
 	}
 	for cycle >= s.nextBoundary {

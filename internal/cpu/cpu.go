@@ -123,8 +123,9 @@ func (c *Core) IPC() float64 {
 	return float64(c.stats.Insts) / c.cycles
 }
 
-// Step consumes one trace event, advancing the core's clock.
-func (c *Core) Step() {
+// Step consumes one trace event and returns the core's clock after it, so
+// the scheduler can keep every core's clock without re-reading the cores.
+func (c *Core) Step() float64 {
 	e := c.gen.Next()
 	c.stats.Insts += uint64(e.Insts)
 	c.cycles += float64(e.Insts) / c.prof.BaseIPC
@@ -150,7 +151,7 @@ func (c *Core) Step() {
 			c.l2.Writeback(c.id, r.EvictedAddr)
 		}
 		if r.Hit {
-			return // L1 hits are pipelined away
+			return c.cycles // L1 hits are pipelined away
 		}
 		c.stats.L1Misses++
 		c.stats.L2Accesses++
@@ -163,8 +164,9 @@ func (c *Core) Step() {
 		if e.Write {
 			// Stores retire through the store buffer: no pipeline stall,
 			// only the traffic and energy are accounted.
-			return
+			return c.cycles
 		}
 		c.cycles += float64(penalty) * (1 - c.prof.MLPOverlap)
 	}
+	return c.cycles
 }

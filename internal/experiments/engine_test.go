@@ -80,6 +80,19 @@ func TestSingleflightSharedConfig(t *testing.T) {
 	if n := h.Simulated(); n != 1 {
 		t.Fatalf("simulated %d times for one config, want 1", n)
 	}
+	// The instruction count follows the simulation count: one run's
+	// committed instructions, however many callers shared it.
+	res, err := h.Run(ctx, w, replacement.LRU, "", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var insts uint64
+	for _, c := range res.PerCore {
+		insts += c.Insts
+	}
+	if got := h.SimulatedInsts(); got != insts || insts < uint64(w.Threads())*h.Options().Insts {
+		t.Fatalf("SimulatedInsts %d, the one run committed %d", got, insts)
+	}
 	for i := 1; i < callers; i++ {
 		if results[i] != results[0] {
 			t.Fatalf("caller %d saw %v, caller 0 saw %v", i, results[i], results[0])

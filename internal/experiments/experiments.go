@@ -78,6 +78,7 @@ type Harness struct {
 	runs      *sched.Cache[cmp.Results]
 	optRuns   *sched.Cache[optref.Stats] // Belady replays, keyed per workload × size
 	simulated atomic.Int64               // completed simulations (cache misses only)
+	insts     atomic.Uint64              // instructions those simulations committed
 }
 
 // New returns a harness for the options; zero fields take the
@@ -114,6 +115,21 @@ func (h *Harness) Parallelism() int { return h.pool.Size() }
 // Simulated reports how many simulations actually executed (cache hits
 // and singleflight followers excluded).
 func (h *Harness) Simulated() int64 { return h.simulated.Load() }
+
+// SimulatedInsts reports the instructions committed by the simulations
+// Simulated counts, each core's up to its crossing point: divided by host
+// time it is the simulator's speed.
+func (h *Harness) SimulatedInsts() uint64 { return h.insts.Load() }
+
+// ran accounts for one completed simulation.
+func (h *Harness) ran(res cmp.Results) {
+	h.simulated.Add(1)
+	var insts uint64
+	for _, c := range res.PerCore {
+		insts += c.Insts
+	}
+	h.insts.Add(insts)
+}
 
 // CachedRuns reports how many unique configurations are memoized.
 func (h *Harness) CachedRuns() int { return h.runs.Len() }
@@ -204,7 +220,7 @@ func (h *Harness) run(ctx context.Context, sp RunSpec) (cmp.Results, error) {
 		if err != nil {
 			return cmp.Results{}, err
 		}
-		h.simulated.Add(1)
+		h.ran(res)
 		h.progress("ran %-26s throughput=%.3f", key, res.Throughput())
 		return res, nil
 	})

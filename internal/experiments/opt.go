@@ -69,14 +69,15 @@ func (h *Harness) RunOPT(ctx context.Context, w workload.Workload, sizeKB int) (
 			line := addr >> lineShift
 			tr.Access(core, int(line%uint64(sets)), line)
 		})
-		if _, err := sys.RunContext(ctx); err != nil {
+		res, err := sys.RunContext(ctx)
+		if err != nil {
 			return optref.Stats{}, err
 		}
 		st, err := optref.Replay(optref.Config{Sets: sets, Ways: l2.Ways, Cores: w.Threads()}, tr)
 		if err != nil {
 			return optref.Stats{}, err
 		}
-		h.simulated.Add(1)
+		h.ran(res)
 		h.progress("ran %-26s OPT hit rate=%.4f (%d refs)", optKey(w, sizeKB), st.HitRate(), tr.Len())
 		return st, nil
 	})

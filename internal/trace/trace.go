@@ -166,11 +166,15 @@ const numBranchPCs = 128
 // 128 B lines, comfortably inside a 32 KB 2-way L1).
 const recentLines = 96
 
-// recentBias is the per-step probability parameter of the geometric
+// RecentBias is the per-step probability parameter of the geometric
 // recency-rank distribution used for locality draws: most re-uses target
 // the last few dozen lines, as in real program locality, which keeps them
 // L1-resident.
-const recentBias = 1.0 / 24
+const RecentBias = 1.0 / 24
+
+// recentRank samples that distribution; it is immutable after init, so
+// every generator shares it.
+var recentRank = xrand.NewGeometric(RecentBias)
 
 // Generator produces the infinite event stream of one thread.
 type Generator struct {
@@ -178,6 +182,8 @@ type Generator struct {
 	lineBytes uint64
 	base      uint64 // thread address base (bytes)
 	rng       *xrand.RNG
+	pEvent    float64          // MemRatio+BranchRatio: per-instruction event probability
+	gap       *xrand.Geometric // instructions skipped before the next event
 
 	phaseIdx  int
 	phaseLeft int64
@@ -212,8 +218,10 @@ func NewGenerator(p Profile, threadID int, seed uint64, lineBytes int) *Generato
 		lineBytes: uint64(lineBytes),
 		base:      uint64(threadID) * threadSpacing,
 		rng:       xrand.New(seed),
+		pEvent:    p.MemRatio + p.BranchRatio,
 		phaseLeft: int64(p.Phases[0].Insts),
 	}
+	g.gap = xrand.NewGeometric(g.pEvent)
 	for _, ph := range p.Phases {
 		g.tables = append(g.tables, xrand.NewCumTable([]float64{
 			ph.HotWeight, ph.MidWeight, ph.StreamWeight, ph.ColdWeight,
@@ -244,9 +252,7 @@ func (g *Generator) Insts() uint64 { return g.insts }
 func (g *Generator) Next() Event {
 	// Gap to the next event instruction: geometric with success
 	// probability MemRatio+BranchRatio per instruction.
-	pEvent := g.prof.MemRatio + g.prof.BranchRatio
-	gap := g.rng.Geometric(pEvent)
-	insts := uint32(gap) + 1
+	insts := uint32(g.gap.Draw(g.rng)) + 1
 
 	g.insts += uint64(insts)
 	g.phaseLeft -= int64(insts)
@@ -255,7 +261,7 @@ func (g *Generator) Next() Event {
 		g.phaseLeft = int64(g.prof.Phases[g.phaseIdx].Insts)
 	}
 
-	if g.rng.Float64()*pEvent < g.prof.MemRatio {
+	if g.rng.Float64()*g.pEvent < g.prof.MemRatio {
 		return Event{
 			Insts: insts,
 			Kind:  Mem,
@@ -278,7 +284,10 @@ func (g *Generator) Next() Event {
 func (g *Generator) nextAddr() uint64 {
 	if g.recentLen > 0 && g.rng.Bool(g.prof.L1Locality) {
 		// Rank 0 is the most recently inserted line.
-		rank := g.rng.Geometric(recentBias) % g.recentLen
+		rank := recentRank.Draw(g.rng)
+		if rank >= g.recentLen { // rarely: the mean rank is 23 of 96
+			rank %= g.recentLen
+		}
 		idx := (g.recentNext - 1 - rank + 2*recentLines) % recentLines
 		if idx >= g.recentLen {
 			idx = g.recentLen - 1

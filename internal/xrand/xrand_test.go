@@ -111,10 +111,11 @@ func TestIntnUniformity(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	r := New(21)
 	p := 0.25
+	g := NewGeometric(p)
 	const n = 100000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
+		sum += float64(g.Draw(r))
 	}
 	mean := sum / n
 	want := (1 - p) / p // 3.0
@@ -124,11 +125,15 @@ func TestGeometricMean(t *testing.T) {
 }
 
 func TestGeometricOne(t *testing.T) {
-	r := New(3)
+	r, untouched := New(3), New(3)
+	g := NewGeometric(1)
 	for i := 0; i < 100; i++ {
-		if v := r.Geometric(1); v != 0 {
+		if v := g.Draw(r); v != 0 {
 			t.Fatalf("Geometric(1) = %d, want 0", v)
 		}
+	}
+	if r.Uint64() != untouched.Uint64() {
+		t.Fatal("Geometric(1) consumed randomness")
 	}
 }
 
