@@ -17,8 +17,8 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // benchOptions keeps each figure bench to a few seconds.
@@ -120,7 +120,7 @@ func BenchmarkFig9(b *testing.B) {
 
 // runOnce simulates one workload/config pair at bench scale and reports
 // instructions per second via b.ReportMetric.
-func runOnce(b *testing.B, benchmarks []string, kind replacement.Kind, acr string, mutate func(*core.Config)) cmp.Results {
+func runOnce(b *testing.B, benchmarks []string, kind plru.Kind, acr string, mutate func(*core.Config)) cmp.Results {
 	b.Helper()
 	w := workload.Workload{Name: "bench", Benchmarks: benchmarks}
 	cfg := cmp.Config{
@@ -154,7 +154,7 @@ func runOnce(b *testing.B, benchmarks []string, kind replacement.Kind, acr strin
 
 // BenchmarkSimulator measures raw simulation speed per policy.
 func BenchmarkSimulator(b *testing.B) {
-	for _, kind := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.BT, replacement.Random} {
+	for _, kind := range []plru.Kind{plru.LRU, plru.NRU, plru.BT, plru.Random} {
 		b.Run(kind.String(), func(b *testing.B) {
 			var insts uint64
 			for i := 0; i < b.N; i++ {
@@ -175,7 +175,7 @@ func BenchmarkAblationScalingFactor(b *testing.B) {
 		b.Run(acr, func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, replacement.NRU, acr, nil)
+				res := runOnce(b, []string{"twolf", "swim"}, plru.NRU, acr, nil)
 				tp = res.Throughput()
 			}
 			b.ReportMetric(tp, "throughput")
@@ -190,7 +190,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 		b.Run(rateName(rate), func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, replacement.LRU, "M-L",
+				res := runOnce(b, []string{"twolf", "swim"}, plru.LRU, "M-L",
 					func(c *core.Config) { c.SampleRate = rate })
 				tp = res.Throughput()
 			}
@@ -223,7 +223,7 @@ func BenchmarkAblationLookahead(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"vpr", "art"}, replacement.LRU, "M-L",
+				res := runOnce(b, []string{"vpr", "art"}, plru.LRU, "M-L",
 					func(c *core.Config) { c.UseLookahead = greedy })
 				tp = res.Throughput()
 			}
@@ -243,7 +243,7 @@ func BenchmarkAblationColdHits(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, replacement.NRU, "M-0.75N",
+				res := runOnce(b, []string{"twolf", "swim"}, plru.NRU, "M-0.75N",
 					func(c *core.Config) { c.CountColdHits = count })
 				tp = res.Throughput()
 			}
@@ -258,7 +258,7 @@ func BenchmarkAblationInterval(b *testing.B) {
 		b.Run(intervalName(iv), func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, replacement.LRU, "M-L",
+				res := runOnce(b, []string{"twolf", "swim"}, plru.LRU, "M-L",
 					func(c *core.Config) { c.Interval = iv })
 				tp = res.Throughput()
 			}
@@ -295,7 +295,7 @@ func BenchmarkAblationGoals(b *testing.B) {
 		b.Run(g.name, func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"art", "twolf"}, replacement.LRU, "M-L",
+				res := runOnce(b, []string{"art", "twolf"}, plru.LRU, "M-L",
 					func(c *core.Config) { c.Goal = g.goal; c.QoSTarget = g.qos })
 				tp = res.Throughput()
 			}
@@ -315,7 +315,7 @@ func BenchmarkAblationProfiling(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, replacement.LRU, "M-L",
+				res := runOnce(b, []string{"twolf", "swim"}, plru.LRU, "M-L",
 					func(c *core.Config) { c.InCacheProfiling = inCache })
 				tp = res.Throughput()
 			}
@@ -340,7 +340,7 @@ func BenchmarkAblationMemoryModel(b *testing.B) {
 					Workload: w,
 					L2: cache.Config{
 						Name: "L2", SizeBytes: 1 << 20, LineBytes: 128, Ways: 16,
-						Policy: replacement.LRU, Cores: 2, Seed: 1,
+						Policy: plru.LRU, Cores: 2, Seed: 1,
 					},
 					Params:   cpu.DefaultParams(),
 					L1:       cpu.DefaultL1Config(128),
@@ -366,12 +366,12 @@ func BenchmarkAblationMemoryModel(b *testing.B) {
 func BenchmarkAblationEnforcement(b *testing.B) {
 	cases := []struct {
 		name string
-		kind replacement.Kind
+		kind plru.Kind
 		acr  string
 	}{
-		{"counters", replacement.LRU, "C-L"},
-		{"masks", replacement.LRU, "M-L"},
-		{"updown", replacement.BT, "M-BT"},
+		{"counters", plru.LRU, "C-L"},
+		{"masks", plru.LRU, "M-L"},
+		{"updown", plru.BT, "M-BT"},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/pkg/plru"
 )
 
 // tenantFlags collects repeated -tenant specs.
@@ -87,7 +88,7 @@ func main() {
 	flag.Var(&tenants, "tenant", "tenant spec name:password[:ways[:budget-bytes]] (repeatable)")
 	flag.Parse()
 
-	kind, err := server.ParsePolicy(*policy)
+	kind, err := plru.ParseKind(*policy)
 	if err != nil {
 		log.Fatalf("cpacached: %v", err)
 	}

@@ -32,6 +32,9 @@ import (
 
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
+// codeSpanRe matches an inline code span, which checkLinks blanks out.
+var codeSpanRe = regexp.MustCompile("`[^`]*`")
+
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: doccheck [root ...]\n")
@@ -93,8 +96,8 @@ func checkFile(path, absRoot string) []string {
 }
 
 // checkLinks validates relative link targets against the filesystem.
-// Fenced code blocks are skipped: `fns[op](x)` in a snippet is an index
-// expression, not a Markdown link.
+// Fenced code blocks and inline code spans are skipped: `fns[op](x)` in a
+// snippet is an index expression, not a Markdown link.
 func checkLinks(path, absRoot string, data []byte) []string {
 	var problems []string
 	dir := filepath.Dir(path)
@@ -107,7 +110,7 @@ func checkLinks(path, absRoot string, data []byte) []string {
 		if inFence {
 			continue
 		}
-		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
+		for _, m := range linkRe.FindAllStringSubmatch(codeSpanRe.ReplaceAllString(line, ""), -1) {
 			target := m[1]
 			if target == "" ||
 				strings.Contains(target, "://") ||

@@ -8,7 +8,7 @@ package bpred
 
 import (
 	"repro/internal/cache"
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 // Config sizes the predictor tables.
@@ -58,7 +58,7 @@ func New(cfg Config) *Predictor {
 			SizeBytes: cfg.BTBBytes,
 			LineBytes: 4, // one target entry per 4-byte slot
 			Ways:      cfg.BTBWays,
-			Policy:    replacement.LRU,
+			Policy:    plru.LRU,
 			Cores:     1,
 		}),
 	}

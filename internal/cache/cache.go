@@ -13,18 +13,18 @@ package cache
 import (
 	"fmt"
 
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 // Config describes a cache geometry and its replacement policy.
 type Config struct {
-	Name      string           // label used in stats output
-	SizeBytes int              // total capacity
-	LineBytes int              // line (block) size
-	Ways      int              // associativity
-	Policy    replacement.Kind // replacement policy family
-	Cores     int              // number of sharer cores (1 for private)
-	Seed      uint64           // seed for randomized policies
+	Name      string    // label used in stats output
+	SizeBytes int       // total capacity
+	LineBytes int       // line (block) size
+	Ways      int       // associativity
+	Policy    plru.Kind // replacement policy family
+	Cores     int       // number of sharer cores (1 for private)
+	Seed      uint64    // seed for randomized policies
 }
 
 // Validate checks the configuration for internal consistency.
@@ -76,7 +76,7 @@ type Observer interface {
 type defaultSelector struct{}
 
 func (defaultSelector) SelectVictim(c *Cache, set, core int) int {
-	return c.Policy().Victim(set, core, replacement.Full(c.cfg.Ways))
+	return c.Policy().Victim(set, core, plru.Full(c.cfg.Ways))
 }
 
 // Stats aggregates per-core access counts.
@@ -134,7 +134,7 @@ type Cache struct {
 	dirty []bool
 	owner []int16 // core that filled the line
 
-	pol      replacement.Policy
+	pol      plru.Policy
 	selector VictimSelector
 	observer Observer
 
@@ -157,7 +157,7 @@ func New(cfg Config) *Cache {
 		valid:     make([]bool, sets*cfg.Ways),
 		dirty:     make([]bool, sets*cfg.Ways),
 		owner:     make([]int16, sets*cfg.Ways),
-		pol:       replacement.New(cfg.Policy, sets, cfg.Ways, cfg.Cores, cfg.Seed),
+		pol:       plru.New(cfg.Policy, sets, cfg.Ways, cfg.Cores, cfg.Seed),
 		selector:  defaultSelector{},
 		stats:     newStats(cfg.Cores),
 	}
@@ -181,7 +181,7 @@ func (c *Cache) NumSets() int { return c.sets }
 
 // Policy exposes the replacement policy (the CPA wiring needs the concrete
 // policy for profiling and enforcement).
-func (c *Cache) Policy() replacement.Policy { return c.pol }
+func (c *Cache) Policy() plru.Policy { return c.pol }
 
 // SetVictimSelector installs the victim selection strategy; nil restores
 // the unpartitioned default.
@@ -229,7 +229,7 @@ func (c *Cache) AccessRW(core int, addr uint64, write bool) Result {
 			c.stats.Hits[core]++
 			if c.observer != nil {
 				dist := 0
-				if lru, ok := c.pol.(*replacement.LRUPolicy); ok {
+				if lru, ok := c.pol.(*plru.LRUPolicy); ok {
 					dist = lru.Dist(set, w)
 				}
 				c.observer.OnCacheAccess(core, set, true, dist)
@@ -309,9 +309,9 @@ func (c *Cache) Owner(set, way int) int {
 }
 
 // OwnedMask returns the mask of valid ways in `set` owned by `core`.
-func (c *Cache) OwnedMask(set, core int) replacement.WayMask {
+func (c *Cache) OwnedMask(set, core int) plru.WayMask {
 	base := set * c.cfg.Ways
-	var m replacement.WayMask
+	var m plru.WayMask
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.valid[base+w] && int(c.owner[base+w]) == core {
 			m = m.With(w)
@@ -327,9 +327,9 @@ func (c *Cache) OwnedCount(set, core int) int {
 }
 
 // ValidMask returns the mask of valid ways in `set`.
-func (c *Cache) ValidMask(set int) replacement.WayMask {
+func (c *Cache) ValidMask(set int) plru.WayMask {
 	base := set * c.cfg.Ways
-	var m replacement.WayMask
+	var m plru.WayMask
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.valid[base+w] {
 			m = m.With(w)

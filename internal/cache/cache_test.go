@@ -4,12 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
 // smallCfg is a 4-set, 4-way toy cache used by most tests.
-func smallCfg(kind replacement.Kind, cores int) Config {
+func smallCfg(kind plru.Kind, cores int) Config {
 	return Config{
 		Name:      "test",
 		SizeBytes: 4 * 4 * 64,
@@ -22,7 +22,7 @@ func smallCfg(kind replacement.Kind, cores int) Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := smallCfg(replacement.LRU, 1)
+	good := smallCfg(plru.LRU, 1)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -44,14 +44,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestConfigSets(t *testing.T) {
-	cfg := Config{SizeBytes: 2 << 20, LineBytes: 128, Ways: 16, Policy: replacement.LRU, Cores: 2}
+	cfg := Config{SizeBytes: 2 << 20, LineBytes: 128, Ways: 16, Policy: plru.LRU, Cores: 2}
 	if got := cfg.Sets(); got != 1024 {
 		t.Fatalf("2MB/16-way/128B = %d sets, want 1024", got)
 	}
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	r := c.Access(0, 0x1000)
 	if r.Hit {
 		t.Fatal("first access hit")
@@ -66,7 +66,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestSameLineDifferentOffsetsHit(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	c.Access(0, 0x1000)
 	if r := c.Access(0, 0x103F); !r.Hit {
 		t.Fatal("access within same 64B line missed")
@@ -77,7 +77,7 @@ func TestSameLineDifferentOffsetsHit(t *testing.T) {
 }
 
 func TestEvictionAfterAssociativityExceeded(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	// 4 sets, 64B lines: addresses with the same (addr/64)%4 collide.
 	// Set 0: lines 0, 4, 8, ... -> addresses 0, 256, 512, ...
 	for i := 0; i < 4; i++ {
@@ -100,7 +100,7 @@ func TestEvictionAfterAssociativityExceeded(t *testing.T) {
 }
 
 func TestOwnerTracking(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 2))
+	c := New(smallCfg(plru.LRU, 2))
 	c.Access(0, 0)   // core 0 fills set 0
 	c.Access(1, 256) // core 1 fills set 0
 	set, _ := c.Index(0)
@@ -118,7 +118,7 @@ func TestOwnerTracking(t *testing.T) {
 }
 
 func TestOwnedMaskAndValidMask(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 2))
+	c := New(smallCfg(plru.LRU, 2))
 	c.Access(0, 0)
 	c.Access(1, 256)
 	set, _ := c.Index(0)
@@ -137,7 +137,7 @@ func TestOwnedMaskAndValidMask(t *testing.T) {
 }
 
 func TestOwnerReturnsMinusOneForInvalid(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	if got := c.Owner(0, 0); got != -1 {
 		t.Fatalf("Owner of invalid line = %d, want -1", got)
 	}
@@ -148,7 +148,7 @@ type fixedSelector struct{ way int }
 func (s fixedSelector) SelectVictim(c *Cache, set, core int) int { return s.way }
 
 func TestVictimSelectorPluggable(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	c.SetVictimSelector(fixedSelector{way: 2})
 	addrs := []uint64{0, 256, 512, 768} // fill set 0
 	for _, a := range addrs {
@@ -168,7 +168,7 @@ func TestVictimSelectorPluggable(t *testing.T) {
 }
 
 func TestEvictedOwnerReported(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 2))
+	c := New(smallCfg(plru.LRU, 2))
 	for i := 0; i < 4; i++ {
 		c.Access(0, uint64(i)*256) // core 0 fills set 0
 	}
@@ -182,7 +182,7 @@ func TestEvictedOwnerReported(t *testing.T) {
 }
 
 func TestResetStatsKeepsContents(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	c.Access(0, 0x40)
 	c.ResetStats()
 	if c.Stats().TotalAccesses() != 0 {
@@ -195,7 +195,7 @@ func TestResetStatsKeepsContents(t *testing.T) {
 
 func TestIndexBijective(t *testing.T) {
 	// Property: distinct line addresses map to distinct (set, tag) pairs.
-	cfg := smallCfg(replacement.LRU, 1)
+	cfg := smallCfg(plru.LRU, 1)
 	c := New(cfg)
 	f := func(a, b uint32) bool {
 		la := uint64(a) << 6 // distinct lines
@@ -215,7 +215,7 @@ func TestIndexBijective(t *testing.T) {
 func TestAllPoliciesRunWithoutViolations(t *testing.T) {
 	// Smoke property for every policy: accesses never corrupt the cache
 	// (total valid lines <= capacity, hits are truthful).
-	for _, kind := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.BT, replacement.Random} {
+	for _, kind := range []plru.Kind{plru.LRU, plru.NRU, plru.BT, plru.Random} {
 		c := New(smallCfg(kind, 2))
 		rng := xrand.New(uint64(kind) + 100)
 		present := map[uint64]bool{} // our own model of "was inserted at some point"
@@ -244,7 +244,7 @@ func TestHitRateImprovesWithSize(t *testing.T) {
 	// hits more. Exercises the full access path end to end.
 	run := func(size int) float64 {
 		c := New(Config{Name: "t", SizeBytes: size, LineBytes: 64, Ways: 4,
-			Policy: replacement.LRU, Cores: 1, Seed: 1})
+			Policy: plru.LRU, Cores: 1, Seed: 1})
 		rng := xrand.New(7)
 		const lines = 96 // 96*64 = 6KB working set
 		for i := 0; i < 30000; i++ {
@@ -261,7 +261,7 @@ func TestHitRateImprovesWithSize(t *testing.T) {
 }
 
 func TestAccessPanicsOnBadCore(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 2))
+	c := New(smallCfg(plru.LRU, 2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for out-of-range core")

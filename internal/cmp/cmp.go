@@ -18,8 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // Config describes one simulation.
@@ -38,7 +38,7 @@ type Config struct {
 
 // DefaultL2Config returns the paper's shared L2 (2 MB, 16-way, 128 B
 // lines) for the given policy and core count.
-func DefaultL2Config(kind replacement.Kind, cores int) cache.Config {
+func DefaultL2Config(kind plru.Kind, cores int) cache.Config {
 	return cache.Config{
 		Name:      "L2",
 		SizeBytes: 2 << 20,

@@ -10,8 +10,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // testConfig builds a scaled-down simulation config (small cache, short
@@ -19,7 +19,7 @@ import (
 // size matters: pick one that lets the chosen benchmarks' working sets
 // partially fit, or every policy degenerates to all-miss and comparisons
 // become vacuous.
-func testConfig(t *testing.T, benchmarks []string, kind replacement.Kind, cpaAcr string, sizeKB int) Config {
+func testConfig(t *testing.T, benchmarks []string, kind plru.Kind, cpaAcr string, sizeKB int) Config {
 	t.Helper()
 	w := workload.Workload{Name: "test", Benchmarks: benchmarks}
 	cfg := Config{
@@ -54,7 +54,7 @@ func runConfig(t *testing.T, cfg Config) Results {
 }
 
 func TestRunCompletesAllCores(t *testing.T) {
-	cfg := testConfig(t, []string{"crafty", "mcf"}, replacement.LRU, "", 1024)
+	cfg := testConfig(t, []string{"crafty", "mcf"}, plru.LRU, "", 1024)
 	res := runConfig(t, cfg)
 	if len(res.PerCore) != 2 {
 		t.Fatalf("results for %d cores", len(res.PerCore))
@@ -76,7 +76,7 @@ func TestRunCompletesAllCores(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := testConfig(t, []string{"twolf", "gap"}, replacement.NRU, "M-0.75N", 1024)
+	cfg := testConfig(t, []string{"twolf", "gap"}, plru.NRU, "M-0.75N", 1024)
 	a := runConfig(t, cfg)
 	b := runConfig(t, cfg)
 	if a.FinishCycles != b.FinishCycles || a.L2Misses != b.L2Misses {
@@ -90,7 +90,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestComputeBoundFasterThanMemoryBound(t *testing.T) {
-	res := runConfig(t, testConfig(t, []string{"eon", "mcf"}, replacement.LRU, "", 1024))
+	res := runConfig(t, testConfig(t, []string{"eon", "mcf"}, plru.LRU, "", 1024))
 	if res.PerCore[0].IPC <= res.PerCore[1].IPC {
 		t.Fatalf("eon IPC %.3f should exceed mcf IPC %.3f",
 			res.PerCore[0].IPC, res.PerCore[1].IPC)
@@ -98,7 +98,7 @@ func TestComputeBoundFasterThanMemoryBound(t *testing.T) {
 }
 
 func TestCPARepartitionsDuringRun(t *testing.T) {
-	res := runConfig(t, testConfig(t, []string{"twolf", "swim"}, replacement.LRU, "M-L", 1024))
+	res := runConfig(t, testConfig(t, []string{"twolf", "swim"}, plru.LRU, "M-L", 1024))
 	if res.Repartitions == 0 {
 		t.Fatal("CPA never repartitioned")
 	}
@@ -114,8 +114,8 @@ func TestPartitioningProtectsVictimThread(t *testing.T) {
 	// twolf (reuse-heavy) paired with swim (streaming) in a small cache:
 	// MinMisses partitioning must not hurt, and should typically improve,
 	// the reuse thread's IPC versus the unpartitioned shared cache.
-	base := runConfig(t, testConfig(t, []string{"twolf", "swim"}, replacement.LRU, "", 1024))
-	part := runConfig(t, testConfig(t, []string{"twolf", "swim"}, replacement.LRU, "M-L", 1024))
+	base := runConfig(t, testConfig(t, []string{"twolf", "swim"}, plru.LRU, "", 1024))
+	part := runConfig(t, testConfig(t, []string{"twolf", "swim"}, plru.LRU, "M-L", 1024))
 	baseIPC := base.PerCore[0].IPC
 	partIPC := part.PerCore[0].IPC
 	if partIPC < baseIPC*0.98 {
@@ -130,19 +130,19 @@ func TestPartitioningProtectsVictimThread(t *testing.T) {
 
 func TestAllPoliciesAndCPAConfigsRun(t *testing.T) {
 	cases := []struct {
-		kind replacement.Kind
+		kind plru.Kind
 		acr  string
 	}{
-		{replacement.LRU, ""},
-		{replacement.NRU, ""},
-		{replacement.BT, ""},
-		{replacement.Random, ""},
-		{replacement.LRU, "C-L"},
-		{replacement.LRU, "M-L"},
-		{replacement.NRU, "M-1.0N"},
-		{replacement.NRU, "M-0.75N"},
-		{replacement.NRU, "M-0.5N"},
-		{replacement.BT, "M-BT"},
+		{plru.LRU, ""},
+		{plru.NRU, ""},
+		{plru.BT, ""},
+		{plru.Random, ""},
+		{plru.LRU, "C-L"},
+		{plru.LRU, "M-L"},
+		{plru.NRU, "M-1.0N"},
+		{plru.NRU, "M-0.75N"},
+		{plru.NRU, "M-0.5N"},
+		{plru.BT, "M-BT"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(t, []string{"parser", "gzip"}, tc.kind, tc.acr, 512)
@@ -163,7 +163,7 @@ func TestEightCoreRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(t, ws[0].Benchmarks, replacement.LRU, "M-L", 1024)
+	cfg := testConfig(t, ws[0].Benchmarks, plru.LRU, "M-L", 1024)
 	cfg.MaxInsts = 40_000
 	res := runConfig(t, cfg)
 	if len(res.PerCore) != 8 {
@@ -175,27 +175,27 @@ func TestEightCoreRun(t *testing.T) {
 }
 
 func TestValidateCatchesMismatches(t *testing.T) {
-	cfg := testConfig(t, []string{"gzip", "gcc"}, replacement.LRU, "", 512)
+	cfg := testConfig(t, []string{"gzip", "gcc"}, plru.LRU, "", 512)
 	cfg.L2.Cores = 3
 	if _, err := New(cfg); err == nil {
 		t.Error("core-count mismatch accepted")
 	}
-	cfg = testConfig(t, []string{"gzip", "gcc"}, replacement.LRU, "", 512)
+	cfg = testConfig(t, []string{"gzip", "gcc"}, plru.LRU, "", 512)
 	cfg.L1.LineBytes = 64
 	if _, err := New(cfg); err == nil {
 		t.Error("line-size mismatch accepted")
 	}
-	cfg = testConfig(t, []string{"gzip", "gcc"}, replacement.LRU, "", 512)
+	cfg = testConfig(t, []string{"gzip", "gcc"}, plru.LRU, "", 512)
 	cfg.MaxInsts = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("zero MaxInsts accepted")
 	}
-	cfg = testConfig(t, []string{"nosuch"}, replacement.LRU, "", 512)
+	cfg = testConfig(t, []string{"nosuch"}, plru.LRU, "", 512)
 	if _, err := New(cfg); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	// CPA policy mismatch with L2 policy.
-	cfg = testConfig(t, []string{"gzip", "gcc"}, replacement.LRU, "M-BT", 512)
+	cfg = testConfig(t, []string{"gzip", "gcc"}, plru.LRU, "M-BT", 512)
 	if _, err := New(cfg); err == nil {
 		t.Error("CPA/L2 policy mismatch accepted")
 	}
@@ -205,15 +205,15 @@ func TestValidateCatchesMismatches(t *testing.T) {
 // 512KB circular stream plus gzip fills a 1MB L2 almost exactly, so true
 // LRU retains the stream while Random keeps evicting it. Short runs never
 // fill the cache and make every policy look identical, hence 1.5M insts.
-func streamFitConfig(t *testing.T, kind replacement.Kind) Config {
+func streamFitConfig(t *testing.T, kind plru.Kind) Config {
 	cfg := testConfig(t, []string{"wupwise", "gzip"}, kind, "", 1024)
 	cfg.MaxInsts = 1_500_000
 	return cfg
 }
 
 func TestLRUOutperformsRandomOnReuseWorkload(t *testing.T) {
-	lru := runConfig(t, streamFitConfig(t, replacement.LRU))
-	rnd := runConfig(t, streamFitConfig(t, replacement.Random))
+	lru := runConfig(t, streamFitConfig(t, plru.LRU))
+	rnd := runConfig(t, streamFitConfig(t, plru.Random))
 	if lru.Throughput() <= rnd.Throughput() {
 		t.Fatalf("LRU throughput %.3f <= Random %.3f",
 			lru.Throughput(), rnd.Throughput())
@@ -226,9 +226,9 @@ func TestLRUOutperformsRandomOnReuseWorkload(t *testing.T) {
 func TestPseudoLRUWithinFewPercentOfLRU(t *testing.T) {
 	// The paper's headline sanity: NRU and BT land close to LRU on a
 	// non-partitioned cache (Fig. 6 shows <= ~5%).
-	lru := runConfig(t, streamFitConfig(t, replacement.LRU))
-	nru := runConfig(t, streamFitConfig(t, replacement.NRU))
-	bt := runConfig(t, streamFitConfig(t, replacement.BT))
+	lru := runConfig(t, streamFitConfig(t, plru.LRU))
+	nru := runConfig(t, streamFitConfig(t, plru.NRU))
+	bt := runConfig(t, streamFitConfig(t, plru.BT))
 	for name, r := range map[string]Results{"NRU": nru, "BT": bt} {
 		rel := r.Throughput() / lru.Throughput()
 		if math.Abs(rel-1) > 0.05 {
@@ -240,7 +240,7 @@ func TestPseudoLRUWithinFewPercentOfLRU(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := testConfig(t, []string{"mcf", "swim"}, replacement.LRU, "", 256)
+	cfg := testConfig(t, []string{"mcf", "swim"}, plru.LRU, "", 256)
 	cfg.MaxInsts = 50_000_000 // far more than the canceled run will get through
 	sys, err := New(cfg)
 	if err != nil {

@@ -4,11 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 func TestDRAMModeRuns(t *testing.T) {
-	cfg := testConfig(t, []string{"twolf", "swim"}, replacement.LRU, "M-L", 512)
+	cfg := testConfig(t, []string{"twolf", "swim"}, plru.LRU, "M-L", 512)
 	dcfg := dram.DefaultConfig()
 	cfg.DRAM = &dcfg
 	sys, err := New(cfg)
@@ -31,7 +31,7 @@ func TestDRAMModeRuns(t *testing.T) {
 }
 
 func TestDRAMRejectsBadConfig(t *testing.T) {
-	cfg := testConfig(t, []string{"gzip", "gcc"}, replacement.LRU, "", 512)
+	cfg := testConfig(t, []string{"gzip", "gcc"}, plru.LRU, "", 512)
 	cfg.DRAM = &dram.Config{Banks: 3, RowBytes: 8192}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("invalid DRAM config accepted")
@@ -43,7 +43,7 @@ func TestDRAMStreamingCheaperThanPointerChasing(t *testing.T) {
 	// pay the precharge+activate path. With everything else equal, the
 	// DRAM model must price swim's average miss below mcf's.
 	avgLat := func(bench string) float64 {
-		cfg := testConfig(t, []string{bench}, replacement.LRU, "", 512)
+		cfg := testConfig(t, []string{bench}, plru.LRU, "", 512)
 		cfg.MaxInsts = 300_000
 		dcfg := dram.DefaultConfig()
 		cfg.DRAM = &dcfg
@@ -68,7 +68,7 @@ func TestConstantModeUnchangedByDRAMPackage(t *testing.T) {
 	// Without cfg.DRAM the simulation must behave exactly as before the
 	// memory model existed; covered in spirit by TestGoldenDeterminism,
 	// asserted here for the Memory() accessor.
-	cfg := testConfig(t, []string{"gzip", "gcc"}, replacement.LRU, "", 512)
+	cfg := testConfig(t, []string{"gzip", "gcc"}, plru.LRU, "", 512)
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // TestGoldenDeterminism pins exact end-to-end results for three
@@ -20,15 +20,15 @@ import (
 // change here is a regression.
 func TestGoldenDeterminism(t *testing.T) {
 	cases := []struct {
-		kind       replacement.Kind
+		kind       plru.Kind
 		acr        string
 		throughput float64
 		misses     uint64
 		finish     float64
 	}{
-		{replacement.LRU, "", 0.5701045653, 10517, 744235.4000},
-		{replacement.NRU, "M-0.75N", 0.5737934445, 10338, 734087.7500},
-		{replacement.BT, "M-BT", 0.5777975147, 10177, 724835.4000},
+		{plru.LRU, "", 0.5701045653, 10517, 744235.4000},
+		{plru.NRU, "M-0.75N", 0.5737934445, 10338, 734087.7500},
+		{plru.BT, "M-BT", 0.5777975147, 10177, 724835.4000},
 	}
 	for _, tc := range cases {
 		cfg := Config{

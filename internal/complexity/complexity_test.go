@@ -3,7 +3,7 @@ package complexity
 import (
 	"testing"
 
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 // The assertions below pin the paper's bracketed Table I numbers for the
@@ -19,20 +19,20 @@ func TestPaperGeometry(t *testing.T) {
 func TestTableIaStorageNoPartitioning(t *testing.T) {
 	g := PaperGeometry()
 	// LRU: A*log2(A) bits/set -> 8 KB.
-	if kb := StorageKB(replacement.LRU, g, false); kb != 8.0 {
+	if kb := StorageKB(plru.LRU, g, false); kb != 8.0 {
 		t.Errorf("LRU storage = %v KB, want 8", kb)
 	}
 	// NRU: A bits/set + pointer -> 2 KB (pointer adds 4 bits: negligible
 	// but present).
-	bits := StorageBits(replacement.NRU, g, false)
+	bits := StorageBits(plru.NRU, g, false)
 	if bits != 1024*16+4 {
 		t.Errorf("NRU storage = %d bits, want %d", bits, 1024*16+4)
 	}
-	if kb := StorageKB(replacement.NRU, g, false); kb < 2.0 || kb > 2.001 {
+	if kb := StorageKB(plru.NRU, g, false); kb < 2.0 || kb > 2.001 {
 		t.Errorf("NRU storage = %v KB, want ~2", kb)
 	}
 	// BT: (A-1) bits/set -> 1.875 KB.
-	if kb := StorageKB(replacement.BT, g, false); kb != 1.875 {
+	if kb := StorageKB(plru.BT, g, false); kb != 1.875 {
 		t.Errorf("BT storage = %v KB, want 1.875", kb)
 	}
 }
@@ -41,16 +41,16 @@ func TestTableIaStorageWithMasks(t *testing.T) {
 	g := PaperGeometry()
 	// The table keeps the headline sizes (8 / 2 / 1.875 KB): the global
 	// additions are a handful of bits.
-	lru := StorageBits(replacement.LRU, g, true) - StorageBits(replacement.LRU, g, false)
+	lru := StorageBits(plru.LRU, g, true) - StorageBits(plru.LRU, g, false)
 	if lru != 16*2 {
 		t.Errorf("LRU mask overhead = %d bits, want A*N = 32", lru)
 	}
-	nru := StorageBits(replacement.NRU, g, true) - StorageBits(replacement.NRU, g, false)
+	nru := StorageBits(plru.NRU, g, true) - StorageBits(plru.NRU, g, false)
 	if nru != 16*2 {
 		t.Errorf("NRU mask overhead = %d bits, want A*N = 32", nru)
 	}
 	// BT: log2(A) up + log2(A) down per core = 8 bits/core.
-	bt := StorageBits(replacement.BT, g, true) - StorageBits(replacement.BT, g, false)
+	bt := StorageBits(plru.BT, g, true) - StorageBits(plru.BT, g, false)
 	if bt != 2*2*4 {
 		t.Errorf("BT vector overhead = %d bits, want 16", bt)
 	}
@@ -59,7 +59,7 @@ func TestTableIaStorageWithMasks(t *testing.T) {
 func TestTableIbEventCosts(t *testing.T) {
 	g := PaperGeometry()
 
-	lru := Costs(replacement.LRU, g)
+	lru := Costs(plru.LRU, g)
 	if lru.TagCompare != 752 {
 		t.Errorf("LRU tag compare = %d, want 752", lru.TagCompare)
 	}
@@ -81,7 +81,7 @@ func TestTableIbEventCosts(t *testing.T) {
 		t.Errorf("LRU profiling read = %d, want 4", lru.ProfilingRead)
 	}
 
-	nru := Costs(replacement.NRU, g)
+	nru := Costs(plru.NRU, g)
 	if nru.TagCompare != 752 || nru.GetData != 1024 {
 		t.Error("NRU shared costs wrong")
 	}
@@ -96,7 +96,7 @@ func TestTableIbEventCosts(t *testing.T) {
 		t.Errorf("NRU profiling read = %d, want 16", nru.ProfilingRead)
 	}
 
-	bt := Costs(replacement.BT, g)
+	bt := Costs(plru.BT, g)
 	if bt.UpdateNoPart != 4 {
 		t.Errorf("BT update = %d, want 4", bt.UpdateNoPart)
 	}
@@ -116,9 +116,9 @@ func TestTableIbEventCosts(t *testing.T) {
 func TestStorageOrderingLRUWorst(t *testing.T) {
 	// The paper's core complexity claim: LRU >> NRU > BT in metadata.
 	g := PaperGeometry()
-	lru := StorageBits(replacement.LRU, g, true)
-	nru := StorageBits(replacement.NRU, g, true)
-	bt := StorageBits(replacement.BT, g, true)
+	lru := StorageBits(plru.LRU, g, true)
+	nru := StorageBits(plru.NRU, g, true)
+	bt := StorageBits(plru.BT, g, true)
 	if !(lru > nru && nru > bt) {
 		t.Fatalf("storage ordering violated: LRU %d, NRU %d, BT %d", lru, nru, bt)
 	}
@@ -145,7 +145,7 @@ func TestScalesWithGeometry(t *testing.T) {
 	small := Geometry{SizeBytes: 512 << 10, LineBytes: 128, Ways: 16,
 		Cores: 2, TagBits: 47, LineBits: 1024}
 	big := PaperGeometry()
-	for _, k := range []replacement.Kind{replacement.LRU, replacement.NRU, replacement.BT} {
+	for _, k := range []plru.Kind{plru.LRU, plru.NRU, plru.BT} {
 		if StorageBits(k, small, false)*4 != StorageBits(k, big, false)-boundaryBits(k) {
 			// 512KB has 1/4 the sets; per-set storage scales by 4, global
 			// bits (NRU pointer) do not.
@@ -153,13 +153,13 @@ func TestScalesWithGeometry(t *testing.T) {
 		}
 	}
 	// Direct check for LRU (no global bits): exact 4x scaling.
-	if StorageBits(replacement.LRU, small, false)*4 != StorageBits(replacement.LRU, big, false) {
+	if StorageBits(plru.LRU, small, false)*4 != StorageBits(plru.LRU, big, false) {
 		t.Error("LRU storage does not scale with sets")
 	}
 }
 
-func boundaryBits(k replacement.Kind) int {
-	if k == replacement.NRU {
+func boundaryBits(k plru.Kind) int {
+	if k == plru.NRU {
 		return 4
 	}
 	return 0

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/partition"
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/cpapart"
+	"repro/pkg/plru"
 )
 
-func l2Config(kind replacement.Kind, cores, sets, ways int) cache.Config {
+func l2Config(kind plru.Kind, cores, sets, ways int) cache.Config {
 	return cache.Config{
 		Name:      "L2",
 		SizeBytes: sets * ways * 64,
@@ -40,15 +40,15 @@ func TestParseAcronyms(t *testing.T) {
 	cases := []struct {
 		in     string
 		enf    Enforcement
-		policy replacement.Kind
+		policy plru.Kind
 		scale  float64
 	}{
-		{"C-L", EnforceCounters, replacement.LRU, 0},
-		{"M-L", EnforceMasks, replacement.LRU, 0},
-		{"M-1.0N", EnforceMasks, replacement.NRU, 1.0},
-		{"M-0.75N", EnforceMasks, replacement.NRU, 0.75},
-		{"M-0.5N", EnforceMasks, replacement.NRU, 0.5},
-		{"M-BT", EnforceUpDown, replacement.BT, 0},
+		{"C-L", EnforceCounters, plru.LRU, 0},
+		{"M-L", EnforceMasks, plru.LRU, 0},
+		{"M-1.0N", EnforceMasks, plru.NRU, 1.0},
+		{"M-0.75N", EnforceMasks, plru.NRU, 0.75},
+		{"M-0.5N", EnforceMasks, plru.NRU, 0.5},
+		{"M-BT", EnforceUpDown, plru.BT, 0},
 	}
 	for _, c := range cases {
 		cfg, err := ParseAcronym(c.in)
@@ -58,7 +58,7 @@ func TestParseAcronyms(t *testing.T) {
 		if cfg.Enforcement != c.enf || cfg.Policy != c.policy {
 			t.Errorf("%q: got %v/%v", c.in, cfg.Enforcement, cfg.Policy)
 		}
-		if c.policy == replacement.NRU && cfg.NRUScale != c.scale {
+		if c.policy == plru.NRU && cfg.NRUScale != c.scale {
 			t.Errorf("%q: scale %v, want %v", c.in, cfg.NRUScale, c.scale)
 		}
 		if cfg.Interval != 1_000_000 || cfg.SampleRate != 32 {
@@ -86,15 +86,15 @@ func TestStandardConfigsOrder(t *testing.T) {
 }
 
 func TestValidateRejectsMismatches(t *testing.T) {
-	if (Config{Enforcement: EnforceUpDown, Policy: replacement.LRU}).Validate() == nil {
+	if (Config{Enforcement: EnforceUpDown, Policy: plru.LRU}).Validate() == nil {
 		t.Error("up/down with LRU accepted")
 	}
-	bad := Config{Enforcement: EnforceMasks, Policy: replacement.NRU, NRUScale: 2,
+	bad := Config{Enforcement: EnforceMasks, Policy: plru.NRU, NRUScale: 2,
 		SampleRate: 1, Interval: 10}
 	if bad.Validate() == nil {
 		t.Error("NRU scale 2 accepted")
 	}
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	cfg, _ := ParseAcronym("M-BT")
 	if _, err := NewSystem(cfg, l2); err == nil {
 		t.Error("policy mismatch between config and L2 accepted")
@@ -102,7 +102,7 @@ func TestValidateRejectsMismatches(t *testing.T) {
 }
 
 func TestInitialPartitionIsFair(t *testing.T) {
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	sys := mustSystem(t, "M-L", l2, 1000)
 	alloc := sys.Allocation()
 	if alloc[0] != 4 || alloc[1] != 4 {
@@ -111,7 +111,7 @@ func TestInitialPartitionIsFair(t *testing.T) {
 }
 
 func TestTickRepartitionsAtBoundary(t *testing.T) {
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	sys := mustSystem(t, "M-L", l2, 1000)
 	sys.Tick(999)
 	if sys.Repartitions() != 0 {
@@ -137,7 +137,7 @@ func TestTickRepartitionsAtBoundary(t *testing.T) {
 
 // driveWorkload runs a simple two-thread scenario: core 0 re-uses a small
 // hot set, core 1 streams. Returns the system after `n` accesses per core.
-func driveWorkload(t *testing.T, acr string, kind replacement.Kind, n int) (*cache.Cache, *System) {
+func driveWorkload(t *testing.T, acr string, kind plru.Kind, n int) (*cache.Cache, *System) {
 	t.Helper()
 	const sets, ways = 8, 8
 	l2 := cache.New(l2Config(kind, 2, sets, ways))
@@ -165,11 +165,11 @@ func TestMinMissesStarvesStreamingThread(t *testing.T) {
 	// it the minimum single way and the reuse thread the rest.
 	for _, tc := range []struct {
 		acr  string
-		kind replacement.Kind
+		kind plru.Kind
 	}{
-		{"M-L", replacement.LRU},
-		{"C-L", replacement.LRU},
-		{"M-0.75N", replacement.NRU},
+		{"M-L", plru.LRU},
+		{"C-L", plru.LRU},
+		{"M-0.75N", plru.NRU},
 	} {
 		_, sys := driveWorkload(t, tc.acr, tc.kind, 3000)
 		alloc := sys.Allocation()
@@ -183,7 +183,7 @@ func TestMinMissesStarvesStreamingThread(t *testing.T) {
 	// M-BT cannot express an asymmetric 2-thread split of 8 ways: the
 	// only buddy composition is [4 4] (the coarseness documented in
 	// DESIGN.md §4.3). Verify exactly that.
-	_, sys := driveWorkload(t, "M-BT", replacement.BT, 3000)
+	_, sys := driveWorkload(t, "M-BT", plru.BT, 3000)
 	alloc := sys.Allocation()
 	if alloc[0] != 4 || alloc[1] != 4 {
 		t.Errorf("M-BT: allocation %v, want the forced [4 4]", alloc)
@@ -192,7 +192,7 @@ func TestMinMissesStarvesStreamingThread(t *testing.T) {
 
 func TestMaskEnforcementConfinesEvictions(t *testing.T) {
 	const sets, ways = 4, 8
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	sys := mustSystem(t, "M-L", l2, 100)
 	// Fill the cache completely with core 0's lines.
 	for s := 0; s < sets; s++ {
@@ -215,7 +215,7 @@ func TestMaskEnforcementConfinesEvictions(t *testing.T) {
 
 func TestUpDownEnforcementConfinesEvictions(t *testing.T) {
 	const sets, ways = 4, 8
-	l2 := cache.New(l2Config(replacement.BT, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.BT, 2, sets, ways))
 	sys := mustSystem(t, "M-BT", l2, 100)
 	for s := 0; s < sets; s++ {
 		for w := 0; w < ways; w++ {
@@ -235,7 +235,7 @@ func TestUpDownEnforcementConfinesEvictions(t *testing.T) {
 }
 
 func TestUpDownAllocationsArePowersOfTwo(t *testing.T) {
-	_, sys := driveWorkload(t, "M-BT", replacement.BT, 2000)
+	_, sys := driveWorkload(t, "M-BT", plru.BT, 2000)
 	for _, w := range sys.Allocation() {
 		if w&(w-1) != 0 {
 			t.Fatalf("BT allocation %v contains non-power-of-two share", sys.Allocation())
@@ -245,7 +245,7 @@ func TestUpDownAllocationsArePowersOfTwo(t *testing.T) {
 
 func TestCounterEnforcementQuotaBehavior(t *testing.T) {
 	const sets, ways = 1, 4
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("C-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 1 << 62 // never repartition: keep the fair 2/2 split
@@ -276,9 +276,9 @@ func TestCounterEnforcementQuotaBehavior(t *testing.T) {
 }
 
 func TestNonPartitionedSystemIsTransparent(t *testing.T) {
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	sys, err := NewSystem(Config{Acronym: "none", Enforcement: EnforceNone,
-		Policy: replacement.LRU}, l2)
+		Policy: plru.LRU}, l2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +293,11 @@ func TestNonPartitionedSystemIsTransparent(t *testing.T) {
 }
 
 func TestRepartitionCallback(t *testing.T) {
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	sys := mustSystem(t, "M-L", l2, 100)
 	var calls int
-	var lastAlloc partition.Allocation
-	sys.OnRepartition = func(cycle uint64, alloc partition.Allocation) {
+	var lastAlloc cpapart.Allocation
+	sys.OnRepartition = func(cycle uint64, alloc cpapart.Allocation) {
 		calls++
 		lastAlloc = alloc
 	}
@@ -312,7 +312,7 @@ func TestRepartitionCallback(t *testing.T) {
 }
 
 func TestSDHHalvedAtBoundary(t *testing.T) {
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	sys := mustSystem(t, "M-L", l2, 100)
 	for i := 0; i < 64; i++ {
 		sys.OnAccess(0, uint64(i)*64*4) // all map to sampled sets (rate 1)
@@ -329,7 +329,7 @@ func TestSDHHalvedAtBoundary(t *testing.T) {
 }
 
 func TestLookaheadConfig(t *testing.T) {
-	l2 := cache.New(l2Config(replacement.LRU, 2, 4, 8))
+	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 100

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/partition"
+	"repro/pkg/cpapart"
 )
 
 // Goal selects what the partitioner optimizes. The paper's evaluation
@@ -57,10 +57,10 @@ func (s *System) SetPerfSource(p PerfSource) { s.perf = p }
 
 // goalAllocate computes an allocation for the configured goal. Called by
 // Repartition with the current miss curves.
-func (s *System) goalAllocate(curves [][]uint64) partition.Allocation {
+func (s *System) goalAllocate(curves [][]uint64) cpapart.Allocation {
 	if s.cfg.Goal == GoalMinMisses || s.perf == nil {
 		if s.cfg.Enforcement == EnforceUpDown {
-			return partition.BuddyMinMisses(curves, s.ways)
+			return cpapart.BuddyMinMisses(curves, s.ways)
 		}
 		return s.algo.Allocate(curves, s.ways)
 	}
@@ -72,7 +72,7 @@ func (s *System) goalAllocate(curves [][]uint64) partition.Allocation {
 		if s.alloc != nil {
 			cur = s.alloc[i]
 		}
-		est := partition.IPCEstimate{
+		est := IPCEstimate{
 			Insts:          insts,
 			Cycles:         cycles,
 			CurrentWays:    cur,
@@ -81,14 +81,14 @@ func (s *System) goalAllocate(curves [][]uint64) partition.Allocation {
 		}
 		ipcCurves[i] = est.Curve(curves[i], s.ways)
 	}
-	var alloc partition.Allocation
+	var alloc cpapart.Allocation
 	switch s.cfg.Goal {
 	case GoalThroughput:
-		alloc = partition.MaxThroughput{}.AllocateIPC(ipcCurves, s.ways)
+		alloc = MaxThroughput{}.AllocateIPC(ipcCurves, s.ways)
 	case GoalFair:
-		alloc = partition.FairSlowdown{}.AllocateIPC(ipcCurves, s.ways)
+		alloc = FairSlowdown{}.AllocateIPC(ipcCurves, s.ways)
 	case GoalQoS:
-		alloc = partition.QoS{MaxSlowdown: s.cfg.QoSTarget}.AllocateIPC(ipcCurves, s.ways)
+		alloc = QoS{MaxSlowdown: s.cfg.QoSTarget}.AllocateIPC(ipcCurves, s.ways)
 	default:
 		alloc = s.algo.Allocate(curves, s.ways)
 	}
@@ -104,9 +104,9 @@ func (s *System) goalAllocate(curves [][]uint64) partition.Allocation {
 // roundToBuddy converts an arbitrary allocation into power-of-two shares
 // summing to ways, staying as close as possible to the ideal (largest
 // remainder on the log scale).
-func roundToBuddy(ideal partition.Allocation, ways int) partition.Allocation {
+func roundToBuddy(ideal cpapart.Allocation, ways int) cpapart.Allocation {
 	n := len(ideal)
-	alloc := make(partition.Allocation, n)
+	alloc := make(cpapart.Allocation, n)
 	total := 0
 	for i, w := range ideal {
 		p := 1
@@ -158,7 +158,7 @@ func roundToBuddy(ideal partition.Allocation, ways int) partition.Allocation {
 		for i := range flat {
 			flat[i] = make([]uint64, ways+1)
 		}
-		return partition.BuddyMinMisses(flat, ways)
+		return cpapart.BuddyMinMisses(flat, ways)
 	}
 	return alloc
 }

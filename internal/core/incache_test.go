@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
 func TestInCacheProfilingConfig(t *testing.T) {
@@ -23,7 +23,7 @@ func TestInCacheProfilingConfig(t *testing.T) {
 
 func TestInCacheProfilingDrivesPartitioning(t *testing.T) {
 	const sets, ways = 8, 8
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 300

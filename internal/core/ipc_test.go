@@ -1,10 +1,11 @@
-package partition
+package core
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/xrand"
+	"repro/pkg/cpapart"
 )
 
 // monotoneIPCCurves builds n non-decreasing IPC curves.
@@ -117,7 +118,7 @@ func TestFairSlowdownMinimaxImprovesOnThroughput(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		ways := 16
 		curves := monotoneIPCCurves(rng, n, ways)
-		maxSlow := func(a Allocation) float64 {
+		maxSlow := func(a cpapart.Allocation) float64 {
 			worst := 0.0
 			for i, w := range a {
 				s := curves[i][ways] / curves[i][w]

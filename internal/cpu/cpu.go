@@ -12,8 +12,8 @@ package cpu
 import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
-	"repro/internal/replacement"
 	"repro/internal/trace"
+	"repro/pkg/plru"
 )
 
 // Params are the latency parameters of Table II, shared by all cores.
@@ -42,7 +42,7 @@ func DefaultL1Config(lineBytes int) cache.Config {
 		SizeBytes: 32 * 1024,
 		LineBytes: lineBytes,
 		Ways:      2,
-		Policy:    replacement.LRU,
+		Policy:    plru.LRU,
 		Cores:     1,
 	}
 }

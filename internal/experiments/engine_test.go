@@ -6,8 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // engineOptions is a bit smaller than tinyOptions: the determinism test
@@ -68,7 +68,7 @@ func TestSingleflightSharedConfig(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := h.Run(ctx, w, replacement.LRU, "", 1024)
+			res, err := h.Run(ctx, w, plru.LRU, "", 1024)
 			if err != nil {
 				t.Error(err)
 				return
@@ -82,7 +82,7 @@ func TestSingleflightSharedConfig(t *testing.T) {
 	}
 	// The instruction count follows the simulation count: one run's
 	// committed instructions, however many callers shared it.
-	res, err := h.Run(ctx, w, replacement.LRU, "", 1024)
+	res, err := h.Run(ctx, w, plru.LRU, "", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPrefetchDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := RunSpec{W: w, Kind: replacement.LRU, SizeKB: 1024}
+	sp := RunSpec{W: w, Kind: plru.LRU, SizeKB: 1024}
 	if err := h.Prefetch(ctx, []RunSpec{sp, sp, sp, isoSpec("gzip", 1024)}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCanceledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Run(ctx, w, replacement.LRU, "", 1024); !errors.Is(err, context.Canceled) {
+	if _, err := h.Run(ctx, w, plru.LRU, "", 1024); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on canceled ctx: %v, want context.Canceled", err)
 	}
 	if _, err := h.Fig7(ctx); !errors.Is(err, context.Canceled) {
@@ -163,7 +163,7 @@ func TestCancellationStopsPool(t *testing.T) {
 	}
 	var specs []RunSpec
 	for _, w := range ws[:6] {
-		specs = append(specs, RunSpec{W: w, Kind: replacement.LRU, SizeKB: 1024})
+		specs = append(specs, RunSpec{W: w, Kind: plru.LRU, SizeKB: 1024})
 	}
 	err = h.Prefetch(ctx, specs)
 	if !errors.Is(err, context.Canceled) {

@@ -5,25 +5,25 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/replacement"
 	"repro/internal/stats"
 	"repro/internal/textplot"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // Fig8Pair couples a partitioned configuration with its non-partitioned
 // baseline of the same replacement policy, as in Figure 8's three panels.
 type Fig8Pair struct {
-	Acronym string           // partitioned config, e.g. "M-0.75N"
-	Policy  replacement.Kind // L2 policy for both runs
-	Label   string           // panel label
+	Acronym string    // partitioned config, e.g. "M-0.75N"
+	Policy  plru.Kind // L2 policy for both runs
+	Label   string    // panel label
 }
 
 // Fig8Pairs are the paper's three panels.
 var Fig8Pairs = []Fig8Pair{
-	{Acronym: "M-L", Policy: replacement.LRU, Label: "(a) M-L vs non-partitioned LRU"},
-	{Acronym: "M-0.75N", Policy: replacement.NRU, Label: "(b) M-0.75N vs non-partitioned NRU"},
-	{Acronym: "M-BT", Policy: replacement.BT, Label: "(c) M-BT vs non-partitioned BT"},
+	{Acronym: "M-L", Policy: plru.LRU, Label: "(a) M-L vs non-partitioned LRU"},
+	{Acronym: "M-0.75N", Policy: plru.NRU, Label: "(b) M-0.75N vs non-partitioned NRU"},
+	{Acronym: "M-BT", Policy: plru.BT, Label: "(c) M-BT vs non-partitioned BT"},
 }
 
 // Fig8Data holds Figure 8: per-2T-workload throughput of the partitioned

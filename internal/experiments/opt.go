@@ -11,9 +11,9 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/cpu"
 	"repro/internal/optref"
-	"repro/internal/replacement"
 	"repro/internal/textplot"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // This file is the OPT column for the fig6-9 sweeps: for every policy ×
@@ -34,7 +34,7 @@ import (
 
 // OptPolicies is the default scoreboard policy set: every registered
 // policy kind.
-func OptPolicies() []replacement.Kind { return replacement.Kinds() }
+func OptPolicies() []plru.Kind { return plru.Kinds() }
 
 // optKey is the memo key for an OPT replay (OPT is policy-independent:
 // one replay per workload × size).
@@ -49,7 +49,7 @@ func optKey(w workload.Workload, sizeKB int) string {
 // memoized; concurrent callers share one simulation.
 func (h *Harness) RunOPT(ctx context.Context, w workload.Workload, sizeKB int) (optref.Stats, error) {
 	return h.optRuns.Do(ctx, optKey(w, sizeKB), func(ctx context.Context) (optref.Stats, error) {
-		l2 := h.l2Config(replacement.LRU, w.Threads(), sizeKB)
+		l2 := h.l2Config(plru.LRU, w.Threads(), sizeKB)
 		sets := l2.SizeBytes / l2.LineBytes / l2.Ways
 		lineShift := 7 // 128 B lines
 
@@ -89,7 +89,7 @@ type OptCell struct {
 	Cores    int
 	Workload string
 	SizeKB   int
-	Policy   replacement.Kind
+	Policy   plru.Kind
 
 	HitRate    float64 // policy demand hit rate
 	OptHitRate float64 // Belady hit rate on the captured trace
@@ -107,7 +107,7 @@ type OptCell struct {
 type OptScoreboardData struct {
 	Cores    []int
 	Sizes    []int // KB
-	Policies []replacement.Kind
+	Policies []plru.Kind
 	Cells    []OptCell // ordered: cores, then size, then workload, then policy
 }
 
@@ -116,7 +116,7 @@ type OptScoreboardData struct {
 // the competitive-analysis scoreboard. Policy runs and OPT replays all
 // execute through the harness pool; assembly is serial, so the result
 // is bit-identical at any Parallelism.
-func (h *Harness) OptScoreboard(ctx context.Context, coreCounts, sizesKB []int, policies []replacement.Kind) (*OptScoreboardData, error) {
+func (h *Harness) OptScoreboard(ctx context.Context, coreCounts, sizesKB []int, policies []plru.Kind) (*OptScoreboardData, error) {
 	if len(coreCounts) == 0 {
 		coreCounts = []int{1, 2, 4, 8}
 	}

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // optOptions keeps OPT scoreboard tests cheap: one workload per core
@@ -33,7 +33,7 @@ func TestOptScoreboardShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := replacement.Kinds()
+	kinds := plru.Kinds()
 	wantCells := 2 * len(kinds) // 1 workload per core count × policies
 	if len(d.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(d.Cells), wantCells)
@@ -78,7 +78,7 @@ func TestOptScoreboardParallelDeterminism(t *testing.T) {
 	ctx := context.Background()
 	render := func(parallelism int) string {
 		h := New(optOptions(parallelism))
-		d, err := h.OptScoreboard(ctx, []int{1, 2}, []int{512}, []replacement.Kind{replacement.LRU, replacement.BT})
+		d, err := h.OptScoreboard(ctx, []int{1, 2}, []int{512}, []plru.Kind{plru.LRU, plru.BT})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,11 @@ package profiling
 import (
 	"testing"
 
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
-func benchObserve(b *testing.B, kind replacement.Kind, sample int) {
+func benchObserve(b *testing.B, kind plru.Kind, sample int) {
 	b.Helper()
 	cfg := Config{
 		L2Sets: 1024, Ways: 16, LineBytes: 128, SampleRate: sample,
@@ -26,10 +26,10 @@ func benchObserve(b *testing.B, kind replacement.Kind, sample int) {
 	}
 }
 
-func BenchmarkObserveLRUFull(b *testing.B)    { benchObserve(b, replacement.LRU, 1) }
-func BenchmarkObserveLRUSampled(b *testing.B) { benchObserve(b, replacement.LRU, 32) }
-func BenchmarkObserveNRUSampled(b *testing.B) { benchObserve(b, replacement.NRU, 32) }
-func BenchmarkObserveBTSampled(b *testing.B)  { benchObserve(b, replacement.BT, 32) }
+func BenchmarkObserveLRUFull(b *testing.B)    { benchObserve(b, plru.LRU, 1) }
+func BenchmarkObserveLRUSampled(b *testing.B) { benchObserve(b, plru.LRU, 32) }
+func BenchmarkObserveNRUSampled(b *testing.B) { benchObserve(b, plru.NRU, 32) }
+func BenchmarkObserveBTSampled(b *testing.B)  { benchObserve(b, plru.BT, 32) }
 
 func BenchmarkSDHMissCurve(b *testing.B) {
 	s := NewSDH(16)

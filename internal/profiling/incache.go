@@ -1,6 +1,6 @@
 package profiling
 
-import "repro/internal/replacement"
+import "repro/pkg/plru"
 
 // InCacheProfiler implements the ATD-free profiling alternative the paper
 // cites in §VI (Suh et al.'s marginal-gain way counters): instead of a
@@ -70,4 +70,4 @@ func (p *InCacheProfiler) Observed() uint64 {
 }
 
 // RequiresLRU reports the policy constraint for in-cache profiling.
-func RequiresLRU(kind replacement.Kind) bool { return kind != replacement.LRU }
+func RequiresLRU(kind plru.Kind) bool { return kind != plru.LRU }

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 // Config describes one per-thread profiling monitor. The geometry mirrors
 // the L2 it profiles; SampleRate applies the paper's set sampling (an L2
 // set s is profiled iff s % SampleRate == 0).
 type Config struct {
-	L2Sets     int              // number of sets in the profiled L2
-	Ways       int              // L2/ATD associativity
-	LineBytes  int              // line size (for address decomposition)
-	SampleRate int              // 1-in-N set sampling; 1 = full ATD; paper uses 32
-	Kind       replacement.Kind // LRU, NRU or BT profiling logic
-	NRUScale   float64          // S for the NRU estimator (paper: 1.0/0.75/0.5)
+	L2Sets     int       // number of sets in the profiled L2
+	Ways       int       // L2/ATD associativity
+	LineBytes  int       // line size (for address decomposition)
+	SampleRate int       // 1-in-N set sampling; 1 = full ATD; paper uses 32
+	Kind       plru.Kind // LRU, NRU or BT profiling logic
+	NRUScale   float64   // S for the NRU estimator (paper: 1.0/0.75/0.5)
 	// CountColdHits is an ablation beyond the paper: record NRU hits on
 	// used==0 lines at the maximum distance A instead of dropping them.
 	CountColdHits bool
@@ -34,10 +34,12 @@ func (c Config) Validate() error {
 	if c.SampleRate <= 0 {
 		return fmt.Errorf("profiling: sample rate must be positive")
 	}
-	if c.Kind == replacement.Random {
-		return fmt.Errorf("profiling: no profiling logic exists for Random replacement")
+	switch c.Kind {
+	case plru.LRU, plru.NRU, plru.BT:
+	default:
+		return fmt.Errorf("profiling: no profiling logic exists for %v replacement", c.Kind)
 	}
-	if c.Kind == replacement.NRU && (c.NRUScale <= 0 || c.NRUScale > 1) {
+	if c.Kind == plru.NRU && (c.NRUScale <= 0 || c.NRUScale > 1) {
 		return fmt.Errorf("profiling: NRU scale %v out of (0,1]", c.NRUScale)
 	}
 	return nil
@@ -58,11 +60,11 @@ func (c Config) StorageBits(tagBits int) int {
 	perLine := tagBits + 1 // tag + valid
 	perSet := 0
 	switch c.Kind {
-	case replacement.LRU:
+	case plru.LRU:
 		perLine += log2(c.Ways)
-	case replacement.NRU:
+	case plru.NRU:
 		perLine++ // used bit
-	case replacement.BT:
+	case plru.BT:
 		perSet = c.Ways - 1
 	}
 	return c.sampledSets() * (c.Ways*perLine + perSet)
@@ -85,11 +87,7 @@ type Monitor struct {
 	sdh  *SDH
 	tags []uint64
 	val  []bool
-
-	// Exactly one of the following is non-nil, matching cfg.Kind.
-	lru *replacement.LRUPolicy
-	nru *replacement.NRUPolicy
-	bt  *replacement.BTPolicy
+	pol  plru.Policy // the ATD's replacement state, of cfg.Kind
 
 	observed uint64 // sampled accesses seen since construction
 }
@@ -101,21 +99,13 @@ func NewMonitor(cfg Config) *Monitor {
 		panic(err)
 	}
 	n := cfg.sampledSets() * cfg.Ways
-	m := &Monitor{
+	return &Monitor{
 		cfg:  cfg,
 		sdh:  NewSDH(cfg.Ways),
 		tags: make([]uint64, n),
 		val:  make([]bool, n),
+		pol:  plru.New(cfg.Kind, cfg.sampledSets(), cfg.Ways, 1, cfg.Seed),
 	}
-	switch cfg.Kind {
-	case replacement.LRU:
-		m.lru = replacement.NewLRUPolicy(cfg.sampledSets(), cfg.Ways)
-	case replacement.NRU:
-		m.nru = replacement.NewNRUPolicy(cfg.sampledSets(), cfg.Ways, 1)
-	case replacement.BT:
-		m.bt = replacement.NewBTPolicy(cfg.sampledSets(), cfg.Ways)
-	}
-	return m
 }
 
 // SDH returns the live (e)SDH.
@@ -151,7 +141,7 @@ func (m *Monitor) Observe(addr uint64) {
 
 	if way >= 0 {
 		m.recordHit(set, way)
-		m.touch(set, way)
+		m.pol.Touch(set, way, 0)
 		return
 	}
 
@@ -164,22 +154,22 @@ func (m *Monitor) Observe(addr uint64) {
 		}
 	}
 	if way < 0 {
-		way = m.victim(set)
+		way = m.pol.Victim(set, 0, plru.Full(m.cfg.Ways))
 	}
 	m.tags[base+way] = tag
 	m.val[base+way] = true
-	m.touch(set, way)
+	m.pol.Touch(set, way, 0)
 }
 
 // recordHit applies the policy-specific distance estimation for a hit on
 // (set, way), before the recency state is updated.
 func (m *Monitor) recordHit(set, way int) {
-	switch {
-	case m.lru != nil:
-		m.sdh.RecordHit(m.lru.Dist(set, way))
-	case m.nru != nil:
-		u := m.nru.UsedCount(set)
-		if m.nru.Used(set, way) {
+	switch p := m.pol.(type) {
+	case *plru.LRUPolicy:
+		m.sdh.RecordHit(p.Dist(set, way))
+	case *plru.NRUPolicy:
+		u := p.UsedCount(set)
+		if p.Used(set, way) {
 			// Distance in [1, U]; assume ceil(S × U).
 			est := int(math.Ceil(m.cfg.NRUScale * float64(u)))
 			if est < 1 {
@@ -191,30 +181,7 @@ func (m *Monitor) recordHit(set, way int) {
 			// update. This ablation records it.
 			m.sdh.RecordHit(m.cfg.Ways)
 		}
-	case m.bt != nil:
-		m.sdh.RecordHit(m.bt.EstStackPos(set, way))
-	}
-}
-
-func (m *Monitor) touch(set, way int) {
-	switch {
-	case m.lru != nil:
-		m.lru.Touch(set, way, 0)
-	case m.nru != nil:
-		m.nru.Touch(set, way, 0)
-	case m.bt != nil:
-		m.bt.Touch(set, way, 0)
-	}
-}
-
-func (m *Monitor) victim(set int) int {
-	full := replacement.Full(m.cfg.Ways)
-	switch {
-	case m.lru != nil:
-		return m.lru.Victim(set, 0, full)
-	case m.nru != nil:
-		return m.nru.Victim(set, 0, full)
-	default:
-		return m.bt.Victim(set, 0, full)
+	case *plru.BTPolicy:
+		m.sdh.RecordHit(p.EstStackPos(set, way))
 	}
 }

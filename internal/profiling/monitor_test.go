@@ -4,11 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
-func monCfg(kind replacement.Kind, sets, ways, sample int) Config {
+func monCfg(kind plru.Kind, sets, ways, sample int) Config {
 	return Config{
 		L2Sets:     sets,
 		Ways:       ways,
@@ -20,17 +20,21 @@ func monCfg(kind replacement.Kind, sets, ways, sample int) Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := monCfg(replacement.LRU, 64, 8, 1)
+	good := monCfg(plru.LRU, 64, 8, 1)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	bad := good
-	bad.Kind = replacement.Random
-	if bad.Validate() == nil {
-		t.Error("Random profiling accepted")
+	// Only LRU, NRU and BT have a distance estimator (AWRP/ARC used to
+	// pass Validate and nil-dereference on the first ATD eviction).
+	for _, k := range []plru.Kind{plru.Random, plru.AWRP, plru.ARC, plru.Kind(99)} {
+		bad.Kind = k
+		if bad.Validate() == nil {
+			t.Errorf("%v profiling accepted", k)
+		}
 	}
 	bad = good
-	bad.Kind = replacement.NRU
+	bad.Kind = plru.NRU
 	bad.NRUScale = 0
 	if bad.Validate() == nil {
 		t.Error("zero NRU scale accepted")
@@ -52,7 +56,7 @@ func TestStorageBitsPaperValue(t *testing.T) {
 	// 1/32 leaves 32 ATD sets; with 47 tag bits (+valid +4 LRU bits) the
 	// ATD is 3.25 KB per core.
 	cfg := Config{L2Sets: 1024, Ways: 16, LineBytes: 128, SampleRate: 32,
-		Kind: replacement.LRU}
+		Kind: plru.LRU}
 	bits := cfg.StorageBits(47)
 	if kb := float64(bits) / 8 / 1024; kb != 3.25 {
 		t.Fatalf("LRU ATD storage = %v KB, want 3.25", kb)
@@ -67,7 +71,7 @@ func addrForSet(set, seq, sets, line int) uint64 {
 
 func TestLRUMonitorExactDistances(t *testing.T) {
 	// Single-set ATD: fill A,B,C,D then re-access in reverse fill order.
-	m := NewMonitor(monCfg(replacement.LRU, 1, 4, 1))
+	m := NewMonitor(monCfg(plru.LRU, 1, 4, 1))
 	addrs := make([]uint64, 5)
 	for i := range addrs {
 		addrs[i] = addrForSet(0, i, 1, 64)
@@ -96,7 +100,7 @@ func TestLRUMonitorPredictsRealMissCounts(t *testing.T) {
 	// count, for every w. This is the foundation the whole CPA rests on.
 	const sets = 16
 	const ways = 8
-	m := NewMonitor(monCfg(replacement.LRU, sets, ways, 1))
+	m := NewMonitor(monCfg(plru.LRU, sets, ways, 1))
 	rng := xrand.New(31)
 	addrs := make([]uint64, 6000)
 	for i := range addrs {
@@ -108,7 +112,7 @@ func TestLRUMonitorPredictsRealMissCounts(t *testing.T) {
 	for w := 1; w <= ways; w++ {
 		c := cache.New(cache.Config{
 			Name: "ref", SizeBytes: sets * w * 64, LineBytes: 64, Ways: w,
-			Policy: replacement.LRU, Cores: 1,
+			Policy: plru.LRU, Cores: 1,
 		})
 		for _, a := range addrs {
 			c.Access(0, a)
@@ -125,7 +129,7 @@ func TestNRUMonitorFigure3Scenario(t *testing.T) {
 	// Build the Figure 3 state: fill A,B,C,D (D's fill triggers the
 	// used-bit reset, leaving only D set). Then access C (used==0: no
 	// SDH update) and D (used==1, U=2: record distance ceil(1.0*2)=2).
-	m := NewMonitor(monCfg(replacement.NRU, 1, 4, 1))
+	m := NewMonitor(monCfg(plru.NRU, 1, 4, 1))
 	addrs := make([]uint64, 4)
 	for i := range addrs {
 		addrs[i] = addrForSet(0, i, 1, 64)
@@ -149,7 +153,7 @@ func TestNRUMonitorFigure3Scenario(t *testing.T) {
 
 func TestNRUMonitorScalingFactor(t *testing.T) {
 	// Same scenario as above but S=0.5: distance ceil(0.5*2)=1 -> r1.
-	cfg := monCfg(replacement.NRU, 1, 4, 1)
+	cfg := monCfg(plru.NRU, 1, 4, 1)
 	cfg.NRUScale = 0.5
 	m := NewMonitor(cfg)
 	addrs := make([]uint64, 4)
@@ -168,7 +172,7 @@ func TestNRUMonitorScalingFactor(t *testing.T) {
 
 func TestNRUMonitorCeilRounding(t *testing.T) {
 	// Paper: S=0.5, U=7 -> ceil(3.5) = 4. Construct U=7 in an 8-way set.
-	cfg := monCfg(replacement.NRU, 1, 8, 1)
+	cfg := monCfg(plru.NRU, 1, 8, 1)
 	cfg.NRUScale = 0.5
 	m := NewMonitor(cfg)
 	addrs := make([]uint64, 8)
@@ -192,7 +196,7 @@ func TestNRUMonitorCeilRounding(t *testing.T) {
 }
 
 func TestNRUCountColdHitsAblation(t *testing.T) {
-	cfg := monCfg(replacement.NRU, 1, 4, 1)
+	cfg := monCfg(plru.NRU, 1, 4, 1)
 	cfg.CountColdHits = true
 	m := NewMonitor(cfg)
 	addrs := make([]uint64, 4)
@@ -209,7 +213,7 @@ func TestNRUCountColdHitsAblation(t *testing.T) {
 }
 
 func TestBTMonitorEstimates(t *testing.T) {
-	m := NewMonitor(monCfg(replacement.BT, 1, 4, 1))
+	m := NewMonitor(monCfg(plru.BT, 1, 4, 1))
 	addrs := make([]uint64, 4)
 	for i := range addrs {
 		addrs[i] = addrForSet(0, i, 1, 64)
@@ -225,7 +229,7 @@ func TestBTMonitorEstimates(t *testing.T) {
 }
 
 func TestBTMonitorEstimateBounds(t *testing.T) {
-	m := NewMonitor(monCfg(replacement.BT, 8, 16, 1))
+	m := NewMonitor(monCfg(plru.BT, 8, 16, 1))
 	rng := xrand.New(3)
 	for i := 0; i < 20000; i++ {
 		m.Observe(uint64(rng.Intn(8*40)) * 64)
@@ -246,7 +250,7 @@ func TestBTMonitorEstimateBounds(t *testing.T) {
 func TestSetSampling(t *testing.T) {
 	// With 1/4 sampling only sets 0, 4, 8, ... are observed.
 	const sets = 16
-	m := NewMonitor(monCfg(replacement.LRU, sets, 4, 4))
+	m := NewMonitor(monCfg(plru.LRU, sets, 4, 4))
 	for s := 0; s < sets; s++ {
 		m.Observe(addrForSet(s, 0, sets, 64))
 	}
@@ -262,8 +266,8 @@ func TestSampledSDHApproximatesFullSDH(t *testing.T) {
 	// stream.
 	const sets = 64
 	const ways = 8
-	full := NewMonitor(monCfg(replacement.LRU, sets, ways, 1))
-	sampled := NewMonitor(monCfg(replacement.LRU, sets, ways, 4))
+	full := NewMonitor(monCfg(plru.LRU, sets, ways, 1))
+	sampled := NewMonitor(monCfg(plru.LRU, sets, ways, 4))
 	rng := xrand.New(13)
 	for i := 0; i < 120000; i++ {
 		a := uint64(rng.Intn(sets*ways*2)) * 64
@@ -280,7 +284,7 @@ func TestSampledSDHApproximatesFullSDH(t *testing.T) {
 }
 
 func TestMonitorHalve(t *testing.T) {
-	m := NewMonitor(monCfg(replacement.LRU, 1, 4, 1))
+	m := NewMonitor(monCfg(plru.LRU, 1, 4, 1))
 	for i := 0; i < 4; i++ {
 		m.Observe(addrForSet(0, i, 1, 64))
 	}
@@ -295,7 +299,7 @@ func TestNRUOverestimatesVsScaledDown(t *testing.T) {
 	// estimates for the same stream, so its predicted miss counts at any
 	// allocation are >= (more pessimistic).
 	run := func(scale float64) *SDH {
-		cfg := monCfg(replacement.NRU, 16, 8, 1)
+		cfg := monCfg(plru.NRU, 16, 8, 1)
 		cfg.NRUScale = scale
 		m := NewMonitor(cfg)
 		rng := xrand.New(47)

@@ -1084,18 +1084,3 @@ func boolBit(b bool) int {
 	}
 	return 0
 }
-
-// ParsePolicy maps a policy name (case-insensitive; any plru.Kind:
-// lru, nru, bt, random, awrp, arc) to its plru.Kind — the -policy
-// flag's parser, here so cmd and tests share it.
-func ParsePolicy(name string) (plru.Kind, error) {
-	kinds := plru.Kinds()
-	known := make([]string, len(kinds))
-	for i, k := range kinds {
-		if strings.EqualFold(name, k.String()) {
-			return k, nil
-		}
-		known[i] = k.String()
-	}
-	return 0, fmt.Errorf("unknown policy %q (want one of %s)", name, strings.Join(known, ", "))
-}

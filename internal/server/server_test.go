@@ -434,18 +434,3 @@ func TestServerInfoTenantPolicies(t *testing.T) {
 		}
 	}
 }
-
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]plru.Kind{
-		"lru": plru.LRU, "NRU": plru.NRU, "bt": plru.BT, "Random": plru.Random,
-		"awrp": plru.AWRP, "ARC": plru.ARC,
-	} {
-		got, err := ParsePolicy(name)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParsePolicy("clock"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/profiling"
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 func simpleProfile() Profile {
@@ -216,7 +216,7 @@ func TestPhaseSwitchChangesBehavior(t *testing.T) {
 	missRateOver := func(events int) float64 {
 		m := profiling.NewMonitor(profiling.Config{
 			L2Sets: 16, Ways: 8, LineBytes: 64, SampleRate: 1,
-			Kind: replacement.LRU,
+			Kind: plru.LRU,
 		})
 		for i := 0; i < events; i++ {
 			e := g.Next()
@@ -256,7 +256,7 @@ func TestGeneratedSDHMatchesMixture(t *testing.T) {
 		g := NewGenerator(p, 0, 21, 64)
 		m := profiling.NewMonitor(profiling.Config{
 			L2Sets: sets, Ways: 16, LineBytes: 64, SampleRate: 1,
-			Kind: replacement.LRU,
+			Kind: plru.LRU,
 		})
 		for n := 0; n < 400000; {
 			e := g.Next()

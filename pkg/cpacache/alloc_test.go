@@ -241,10 +241,10 @@ func TestSetChurnTTLCostZeroAlloc(t *testing.T) {
 
 // TestTouchRingDrainZeroAlloc pins the deferred-recency round trip at
 // zero allocations: a burst of lock-free hits fills the touch ring, and
-// the Set that follows drains and applies every record through the
-// batched policy path — none of push, drain window walk, TouchRec
-// conversion or TouchBatch may allocate, even when the burst overflows
-// the ring (sampled-drop regime).
+// the Set that follows drains and applies every record to the policy —
+// none of push, drain window walk, record decode or the policy's
+// Touch/Fill may allocate, even when the burst overflows the ring
+// (sampled-drop regime).
 func TestTouchRingDrainZeroAlloc(t *testing.T) {
 	c, err := New[uint64, uint64](
 		WithShards(1), WithSets(64), WithWays(8),

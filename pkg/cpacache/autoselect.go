@@ -36,25 +36,29 @@ package cpacache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/pkg/plru"
 )
 
-// multiPol is the per-shard candidate-policy bank. byTenant is written
-// under quotaMu while holding the shard lock and read under the shard
-// lock, like the shard's partition masks.
+// multiPol is the per-shard candidate-policy bank, itself a plru.Policy:
+// the shard installs it in place of a single policy, so no data-plane
+// call site knows whether auto-selection is on. Recency events fan out
+// to every candidate; Victim routes through the calling tenant's selected
+// instance. byTenant is written under quotaMu while holding the shard
+// lock and read under the shard lock, like the shard's partition masks.
 type multiPol struct {
-	pols     []policyRef // parallel to Cache.activeKinds
-	byTenant []int32     // tenant -> index into pols
+	pols     []plru.Policy // parallel to Cache.activeKinds
+	byTenant []int32       // tenant -> index into pols
 }
 
 func newMultiPol(kinds []plru.Kind, base, sets, ways, tenants int, seed uint64) *multiPol {
 	m := &multiPol{
-		pols:     make([]policyRef, len(kinds)),
+		pols:     make([]plru.Policy, len(kinds)),
 		byTenant: make([]int32, tenants),
 	}
 	for i, k := range kinds {
-		m.pols[i] = newPolicyRef(k, sets, ways, tenants, seed+uint64(i)<<32)
+		m.pols[i] = plru.New(k, sets, ways, tenants, seed+uint64(i)<<32)
 	}
 	for t := range m.byTenant {
 		m.byTenant[t] = int32(base)
@@ -62,68 +66,38 @@ func newMultiPol(kinds []plru.Kind, base, sets, ways, tenants int, seed uint64) 
 	return m
 }
 
-// The pol* methods are the shard's single policy entry points: every
-// data-plane call site goes through them. Without auto-selection
-// (multi == nil, the common case) they are one predictable branch ahead
-// of the devirtualized policyRef call; with it, recency fans out to
-// every candidate and victim selection routes through the tenant's
-// selected instance. Callers hold sh.mu.
+// Kind, Ways and Sets answer from the first candidate: the geometry is
+// shared, and the kind in force per tenant is Cache.TenantPolicies.
+func (m *multiPol) Kind() plru.Kind { return m.pols[0].Kind() }
+func (m *multiPol) Ways() int       { return m.pols[0].Ways() }
+func (m *multiPol) Sets() int       { return m.pols[0].Sets() }
 
-func (sh *shard[K, V]) polTouch(set, way, tenant int) {
-	if m := sh.multi; m != nil {
-		for i := range m.pols {
-			m.pols[i].touch(set, way, tenant)
-		}
-		return
+func (m *multiPol) Touch(set, way, tenant int) {
+	for _, p := range m.pols {
+		p.Touch(set, way, tenant)
 	}
-	sh.pol.touch(set, way, tenant)
 }
 
-func (sh *shard[K, V]) polFill(set, way, tenant int, sig uint8) {
-	if m := sh.multi; m != nil {
-		for i := range m.pols {
-			m.pols[i].fill(set, way, tenant, sig)
-		}
-		return
+func (m *multiPol) Fill(set, way, tenant int, sig uint8) {
+	for _, p := range m.pols {
+		p.Fill(set, way, tenant, sig)
 	}
-	sh.pol.fill(set, way, tenant, sig)
 }
 
-func (sh *shard[K, V]) polTouchBatch(recs []plru.TouchRec) {
-	if m := sh.multi; m != nil {
-		for i := range m.pols {
-			m.pols[i].touchBatch(recs)
-		}
-		return
-	}
-	sh.pol.touchBatch(recs)
+func (m *multiPol) Victim(set, tenant int, allowed plru.WayMask) int {
+	return m.pols[m.byTenant[tenant]].Victim(set, tenant, allowed)
 }
 
-func (sh *shard[K, V]) polVictim(set, tenant int, allowed plru.WayMask) int {
-	if m := sh.multi; m != nil {
-		return m.pols[m.byTenant[tenant]].victim(set, tenant, allowed)
+func (m *multiPol) Invalidate(set, way int) {
+	for _, p := range m.pols {
+		p.Invalidate(set, way)
 	}
-	return sh.pol.victim(set, tenant, allowed)
 }
 
-func (sh *shard[K, V]) polInvalidate(set, way int) {
-	if m := sh.multi; m != nil {
-		for i := range m.pols {
-			m.pols[i].invalidate(set, way)
-		}
-		return
+func (m *multiPol) SetPartition(masks []plru.WayMask) {
+	for _, p := range m.pols {
+		p.SetPartition(masks)
 	}
-	sh.pol.invalidate(set, way)
-}
-
-func (sh *shard[K, V]) polSetPartition(masks []plru.WayMask) {
-	if m := sh.multi; m != nil {
-		for i := range m.pols {
-			m.pols[i].setPartition(masks)
-		}
-		return
-	}
-	sh.pol.setPartition(masks)
 }
 
 // shadowDir scores the candidate policies on one shard's profiled
@@ -136,18 +110,18 @@ func (sh *shard[K, V]) polSetPartition(masks []plru.WayMask) {
 type shadowDir struct {
 	ways    int
 	tenants int
-	pols    []policyRef // parallel to Cache.activeKinds
-	tags    [][]uint8   // per candidate: sampledSets*tenants*ways signature bytes
-	valid   [][]uint64  // per candidate: residency mask per shadow set
-	hits    [][]uint64  // per candidate: per-tenant shadow hits this window
-	acc     []uint64    // per-tenant profiled accesses this window
+	pols    []plru.Policy // parallel to Cache.activeKinds
+	tags    [][]uint8     // per candidate: sampledSets*tenants*ways signature bytes
+	valid   [][]uint64    // per candidate: residency mask per shadow set
+	hits    [][]uint64    // per candidate: per-tenant shadow hits this window
+	acc     []uint64      // per-tenant profiled accesses this window
 }
 
 func newShadowDir(kinds []plru.Kind, sampledSets, tenants, ways int, seed uint64) *shadowDir {
 	sd := &shadowDir{
 		ways:    ways,
 		tenants: tenants,
-		pols:    make([]policyRef, len(kinds)),
+		pols:    make([]plru.Policy, len(kinds)),
 		tags:    make([][]uint8, len(kinds)),
 		valid:   make([][]uint64, len(kinds)),
 		hits:    make([][]uint64, len(kinds)),
@@ -155,7 +129,7 @@ func newShadowDir(kinds []plru.Kind, sampledSets, tenants, ways int, seed uint64
 	}
 	shadowSets := sampledSets * tenants
 	for i, k := range kinds {
-		sd.pols[i] = newPolicyRef(k, shadowSets, ways, tenants, seed+uint64(i)<<24)
+		sd.pols[i] = plru.New(k, shadowSets, ways, tenants, seed+uint64(i)<<24)
 		sd.tags[i] = make([]uint8, shadowSets*ways)
 		sd.valid[i] = make([]uint64, shadowSets)
 		sd.hits[i] = make([]uint64, tenants)
@@ -185,17 +159,17 @@ func (sd *shadowDir) access(slot, tenant int, sig uint8) {
 		}
 		if way >= 0 {
 			sd.hits[k][tenant]++
-			sd.pols[k].touch(ss, way, tenant)
+			sd.pols[k].Touch(ss, way, tenant)
 			continue
 		}
 		if free := uint64(full) &^ vm; free != 0 {
 			way = bits.TrailingZeros64(free)
 		} else {
-			way = sd.pols[k].victim(ss, tenant, full)
+			way = sd.pols[k].Victim(ss, tenant, full)
 		}
 		tags[base+way] = sig
 		sd.valid[k][ss] = vm | 1<<uint(way)
-		sd.pols[k].fill(ss, way, tenant, sig)
+		sd.pols[k].Fill(ss, way, tenant, sig)
 	}
 }
 
@@ -291,8 +265,9 @@ func (c *Cache[K, V]) selectPoliciesLocked() []PolicySwitchEvent {
 // Random (which has no recency signal to win on).
 func resolveCandidates(base plru.Kind, ways int, req []plru.Kind) ([]plru.Kind, error) {
 	btOK := ways&(ways-1) == 0
+	known := plru.Kinds()
 	if len(req) == 0 {
-		for _, k := range plru.Kinds() {
+		for _, k := range known {
 			if k == plru.Random && base != plru.Random {
 				continue
 			}
@@ -307,10 +282,8 @@ func resolveCandidates(base plru.Kind, ways int, req []plru.Kind) ([]plru.Kind, 
 	var out []plru.Kind
 	seen := make(map[plru.Kind]bool)
 	for _, k := range req {
-		switch k {
-		case plru.LRU, plru.NRU, plru.BT, plru.Random, plru.AWRP, plru.ARC:
-		default:
-			return nil, fmt.Errorf("cpacache: unknown auto-select candidate policy %d", int(k))
+		if !slices.Contains(known, k) {
+			return nil, fmt.Errorf("cpacache: unknown auto-select candidate policy %v", k)
 		}
 		if k == plru.BT && !btOK {
 			return nil, fmt.Errorf("cpacache: auto-select candidate BT needs power-of-two ways, got %d", ways)

@@ -303,7 +303,7 @@ func FuzzTouchRing(f *testing.F) {
 		// The policy must still be functional: victims stay in range for
 		// every set after all the recency noise.
 		for set := 0; set < c.sets; set++ {
-			if v := sh.pol.victim(set, 0, plru.Full(c.ways)); v < 0 || v >= c.ways {
+			if v := sh.pol.Victim(set, 0, plru.Full(c.ways)); v < 0 || v >= c.ways {
 				t.Fatalf("victim %d out of range after fuzzed touches", v)
 			}
 		}

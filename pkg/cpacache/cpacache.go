@@ -179,11 +179,12 @@ type Cache[K comparable, V any] struct {
 // reallocated, so a reader can never observe a torn slice header.
 type shard[K comparable, V any] struct {
 	mu sync.Mutex
-	// pol is the shard's policy instance; under WithPolicyAutoSelect it
-	// aliases the base-kind instance in multi and the data plane routes
-	// through the pol* methods (autoselect.go) instead. shadow is the
-	// candidate-scoring directory, nil unless auto-selection is on.
-	pol    policyRef
+	// pol is the shard's replacement policy: one plru.New instance, or
+	// under WithPolicyAutoSelect the candidate bank multi (autoselect.go),
+	// which is the same value kept typed for the control plane's routing
+	// updates. shadow is the candidate-scoring directory, nil unless
+	// auto-selection is on.
+	pol    plru.Policy
 	multi  *multiPol
 	shadow *shadowDir
 	tags   []uint64 // setStride words per set: sequence word + packed tag bytes (tags.go)
@@ -207,13 +208,10 @@ type shard[K comparable, V any] struct {
 
 	// Deferred recency (ring.go): touchRing/touchHead are the lock-free
 	// producer side (slot words are plain — see ring.go for why that is
-	// safe); touchDrained and touchScratch belong to the drainer, under
-	// mu. touchRing is nil under WithImmediateRecency.
-	touchRing    []uint64
-	touchMask    uint64
-	touchHead    uint64
-	touchDrained uint64
-	touchScratch []plru.TouchRec
+	// safe). touchRing is nil under WithImmediateRecency; touchHead sits
+	// at the end of the struct.
+	touchRing []uint64
+	touchMask uint64
 
 	// TTL state: ttl[set] has bit w set iff the slot at (set, way w)
 	// carries a deadline, so the hot path pays one word test before ever
@@ -230,6 +228,14 @@ type shard[K comparable, V any] struct {
 	// state is guarded by mu.
 	cost  []uint64
 	wheel *ttlWheel
+
+	// touchHead is the one word every lock-free hit writes, so it sits
+	// here, behind the writer-only fields and ahead of the padding, off
+	// the cache lines holding the slice headers those same hits read
+	// (beside touchRing it cost ParallelGetSet ~1.5 ns/op in false
+	// sharing). touchDrained belongs to the drainer, under mu.
+	touchDrained uint64
+	touchHead    uint64
 
 	_ [8]uint64 // keep adjacent shards off one another's cache lines
 }
@@ -427,7 +433,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.pol = newPolicyRef(s.policy, s.sets, s.ways, s.tenants, s.seed+uint64(i))
 		sh.tags = make([]uint64, s.sets*c.setStride)
 		sh.keys = make([]K, s.sets*s.ways)
 		sh.vals = make([]V, s.sets*s.ways)
@@ -441,7 +446,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		if c.deferred {
 			sh.touchRing = make([]uint64, s.touchBuffer)
 			sh.touchMask = uint64(s.touchBuffer - 1)
-			sh.touchScratch = make([]plru.TouchRec, 0, s.touchBuffer)
 		}
 		// One TTL word per set is always present (the hot path tests it
 		// unconditionally); the sets×ways deadline array and the timing
@@ -453,10 +457,11 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		}
 		sh.prof.init(s.sets, s.ways, s.tenants, s.sampleEvery)
 		if s.autoselect {
-			baseIdx := c.polByTenant[0]
-			sh.multi = newMultiPol(c.activeKinds, baseIdx, s.sets, s.ways, s.tenants, s.seed+uint64(i))
-			sh.pol = sh.multi.pols[baseIdx]
+			sh.multi = newMultiPol(c.activeKinds, c.polByTenant[0], s.sets, s.ways, s.tenants, s.seed+uint64(i))
+			sh.pol = sh.multi
 			sh.shadow = newShadowDir(c.activeKinds, sh.prof.sampledCount, s.tenants, s.ways, s.seed+uint64(i))
+		} else {
+			sh.pol = plru.New(s.policy, s.sets, s.ways, s.tenants, s.seed+uint64(i))
 		}
 	}
 	if err := c.SetQuotas(c.quotas); err != nil {
@@ -691,7 +696,7 @@ func (c *Cache[K, V]) setLocked(sh *shard[K, V], set, tenant int, tag uint8, key
 				// recency, so pending deferred touches apply here —
 				// updates and empty-way fills never pay a drain.
 				c.drainTouches(sh)
-				way = sh.polVictim(set, tenant, sh.masks[tenant])
+				way = sh.pol.Victim(set, tenant, sh.masks[tenant])
 				evKey, evVal, kind = sh.keys[base+way], sh.vals[base+way], evictLive
 				sh.stats[sh.owner[base+way]].Evictions++
 			}
@@ -831,7 +836,7 @@ func (c *Cache[K, V]) clearSlotLocked(sh *shard[K, V], set, way int) {
 		sh.wheel.unlink(int32(base + way))
 	}
 	sh.endSetWrite(sbase)
-	sh.polInvalidate(set, way)
+	sh.pol.Invalidate(set, way)
 	sh.live.Add(-1)
 }
 
@@ -952,7 +957,7 @@ func (c *Cache[K, V]) setQuotasLocked(quotas []int) error {
 		// used-bit reset by them), exactly as immediate touches would.
 		c.drainTouches(sh)
 		copy(sh.masks, masks)
-		sh.polSetPartition(masks)
+		sh.pol.SetPartition(masks)
 		sh.mu.Unlock()
 	}
 	return nil

@@ -113,11 +113,18 @@ func TestBadOptions(t *testing.T) {
 		{"BT odd ways", []Option{WithWays(12), WithPolicy(plru.BT)}},
 		{"tenants exceed ways", []Option{WithWays(4), WithPartitions(5)}},
 		{"bad sampling", []Option{WithProfileSampling(0)}},
+		// Out-of-range kinds used to build a silent Random cache.
+		{"negative policy", []Option{WithPolicy(plru.Kind(-1))}},
+		{"unknown auto-select candidate", []Option{WithPolicyAutoSelect(plru.LRU, plru.Kind(99))}},
+		{"unknown auto-select base", []Option{WithPolicy(plru.Kind(6)), WithPolicyAutoSelect()}},
 	}
 	for _, tc := range cases {
 		if _, err := New[int, int](tc.opts...); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+	}
+	if _, err := New[int, int](WithPolicy(plru.Kind(99))); err == nil || !strings.Contains(err.Error(), "unknown policy Kind(99)") {
+		t.Errorf("WithPolicy(Kind(99)): error %v does not name the kind", err)
 	}
 }
 

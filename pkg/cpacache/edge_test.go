@@ -73,7 +73,7 @@ func TestDeleteClearsTagAndRecency(t *testing.T) {
 			if sh.owner[set*c.ways+w] != -1 {
 				t.Fatal("freed way still owned")
 			}
-			switch p := sh.pol.iface().(type) {
+			switch p := sh.pol.(type) {
 			case *plru.LRUPolicy:
 				if d := p.Dist(set, w); d != 4 {
 					t.Fatalf("freed way at LRU distance %d, want 4 (least recent)", d)

@@ -245,7 +245,7 @@ func (c *Cache[K, V]) evictOwnedLocked(sh *shard[K, V], tenant, scope, protSet, 
 			if pick == 0 {
 				pick = owned
 			}
-			way := sh.polVictim(set, tenant, plru.WayMask(pick))
+			way := sh.pol.Victim(set, tenant, plru.WayMask(pick))
 			c.budgetEvictLocked(sh, set, way, s)
 		}
 	}
@@ -271,7 +271,7 @@ func (c *Cache[K, V]) evictAnyLocked(sh *shard[K, V], tenant, protSet, protWay i
 			if occ == 0 {
 				break
 			}
-			way := sh.polVictim(set, tenant, plru.WayMask(occ))
+			way := sh.pol.Victim(set, tenant, plru.WayMask(occ))
 			c.budgetEvictLocked(sh, set, way, s)
 		}
 	}

@@ -2,6 +2,7 @@ package cpacache
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/pkg/plru"
@@ -88,6 +89,9 @@ func newSettings(opts []Option) (settings, error) {
 	}
 	if s.ways <= 0 || s.ways > plru.MaxWays {
 		return settings{}, fmt.Errorf("cpacache: ways must be in [1,%d], got %d", plru.MaxWays, s.ways)
+	}
+	if !slices.Contains(plru.Kinds(), s.policy) {
+		return settings{}, fmt.Errorf("cpacache: unknown policy %v", s.policy)
 	}
 	if s.policy == plru.BT && s.ways&(s.ways-1) != 0 {
 		return settings{}, fmt.Errorf("cpacache: the BT policy needs power-of-two ways, got %d", s.ways)

@@ -1,10 +1,6 @@
 package cpacache
 
-import (
-	"sync/atomic"
-
-	"repro/pkg/plru"
-)
+import "sync/atomic"
 
 // Deferred recency: the touch ring.
 //
@@ -16,8 +12,8 @@ import (
 // size per-shard ring with two atomic operations and moves on. Every
 // mutating path that takes the shard lock — Set, Delete, SetTTL, quota
 // installs, the sweeper, Rebalance — first drains the ring and applies
-// the pending records through the policy's batched TouchBatch path, so
-// recency is always current before any Victim or Invalidate consults it.
+// the pending records to the policy in arrival order, so recency is
+// always current before any Victim or Invalidate consults it.
 //
 // The ring is deliberately lossy. Producers reserve slots with an atomic
 // counter and overwrite the oldest records when more than the ring's
@@ -105,7 +101,7 @@ func (c *Cache[K, V]) touchOrPush(sh *shard[K, V], set, way, tenant int) {
 		sh.pushTouch(set, way, tenant)
 		return
 	}
-	sh.polTouch(set, way, tenant)
+	sh.pol.Touch(set, way, tenant)
 }
 
 // fillOrPush is touchOrPush for a new line: the policy must see a Fill
@@ -118,7 +114,7 @@ func (c *Cache[K, V]) fillOrPush(sh *shard[K, V], set, way, tenant int, sig uint
 		sh.touchRing[h&sh.touchMask] = packFill(set, way, tenant, sig)
 		return
 	}
-	sh.polFill(set, way, tenant, sig)
+	sh.pol.Fill(set, way, tenant, sig)
 }
 
 // drainTouches applies every pending ring record to the shard's policy in
@@ -142,8 +138,6 @@ func (c *Cache[K, V]) drainSlow(sh *shard[K, V], h uint64) {
 		// by producers — the sampled-drop regime.
 		n = size
 	}
-	maxSet, maxWay, maxTenant := int32(c.sets), int32(c.ways), int32(c.tenants)
-	recs := sh.touchScratch[:0]
 	for p := h - n; p != h; p++ {
 		slot := &sh.touchRing[p&sh.touchMask]
 		r := *slot
@@ -152,18 +146,18 @@ func (c *Cache[K, V]) drainSlow(sh *shard[K, V], h uint64) {
 		}
 		*slot = 0
 		set, way, tenant := unpackTouch(r)
-		rec := plru.TouchRec{Set: int32(set), Way: int32(way), Core: int32(tenant)}
-		if r&touchFill != 0 {
-			rec.Sig = plru.FillRec | int32(uint8(r>>54))
-		}
 		// Bounds check: a record that raced an overwrite can in
 		// principle mix two producers' words (see the file comment);
 		// anything in range is at worst recency noise, anything out of
 		// range is dropped.
-		if rec.Set < maxSet && rec.Way < maxWay && rec.Core < maxTenant {
-			recs = append(recs, rec)
+		if set >= c.sets || way >= c.ways || tenant >= c.tenants {
+			continue
+		}
+		if r&touchFill != 0 {
+			sh.pol.Fill(set, way, tenant, uint8(r>>54))
+		} else {
+			sh.pol.Touch(set, way, tenant)
 		}
 	}
 	sh.touchDrained = h
-	sh.polTouchBatch(recs)
 }

@@ -151,18 +151,6 @@ func (p *ARCPolicy) Fill(set, way, core int, sig uint8) {
 	p.promote(set, way)
 }
 
-// TouchBatch applies deferred accesses in order (see Policy.TouchBatch),
-// dispatching records flagged FillRec through Fill.
-func (p *ARCPolicy) TouchBatch(recs []TouchRec) {
-	for _, r := range recs {
-		if r.Sig&FillRec != 0 {
-			p.Fill(int(r.Set), int(r.Way), int(r.Core), uint8(r.Sig))
-		} else {
-			p.Touch(int(r.Set), int(r.Way), int(r.Core))
-		}
-	}
-}
-
 // Invalidate frees (set, way) — tier membership cleared, no ghost entry
 // (the line left outside replacement, so it carries no eviction signal) —
 // and demotes it to the LRU position, making it the preferred victim.

@@ -85,18 +85,6 @@ func (p *AWRPPolicy) Fill(set, way, core int, sig uint8) {
 	p.freq[i] = 1
 }
 
-// TouchBatch applies deferred accesses in order (see Policy.TouchBatch),
-// dispatching records flagged FillRec through Fill.
-func (p *AWRPPolicy) TouchBatch(recs []TouchRec) {
-	for _, r := range recs {
-		if r.Sig&FillRec != 0 {
-			p.Fill(int(r.Set), int(r.Way), int(r.Core), uint8(r.Sig))
-		} else {
-			p.Touch(int(r.Set), int(r.Way), int(r.Core))
-		}
-	}
-}
-
 // Invalidate zeroes the line's weight (stamp and frequency), making the
 // freed way the minimum-weight — hence preferred — victim until refilled.
 func (p *AWRPPolicy) Invalidate(set, way int) {

@@ -117,16 +117,6 @@ func (p *BTPolicy) Touch(set, way, core int) {
 	}
 }
 
-// TouchBatch applies deferred accesses in order (see Policy.TouchBatch).
-// Each record costs the same log2(ways) bit flips as a direct Touch; the
-// batch loop keeps the call on the concrete type so the per-record work
-// inlines.
-func (p *BTPolicy) TouchBatch(recs []TouchRec) {
-	for _, r := range recs {
-		p.Touch(int(r.Set), int(r.Way), int(r.Core))
-	}
-}
-
 // Fill is Touch: BT keeps no per-line identity, so a new line just turns
 // its root path away, like any access.
 func (p *BTPolicy) Fill(set, way, core int, sig uint8) { p.Touch(set, way, core) }

@@ -70,72 +70,3 @@ func FuzzVictimInMask(f *testing.F) {
 		}
 	})
 }
-
-// FuzzTouchBatchEquivalence pins the TouchBatch contract for every policy
-// family: applying a fuzzer-chosen record stream through one TouchBatch
-// call must leave the policy in exactly the state the equivalent sequence
-// of Touch/Fill calls produces — observed through the victim choices of
-// both instances over a shared schedule of masks.
-func FuzzTouchBatchEquivalence(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint64(5), []byte{0x01, 0x82, 0x13})
-	f.Add(uint8(4), uint8(3), uint64(9), []byte{0xFF, 0x40, 0x2A, 0x07})
-	f.Add(uint8(5), uint8(4), uint64(2), []byte{0x90, 0x65, 0x11, 0xC3, 0x38})
-	f.Fuzz(func(t *testing.T, kindRaw, waysExp uint8, seed uint64, ops []byte) {
-		kinds := Kinds()
-		kind := kinds[int(kindRaw)%len(kinds)]
-		ways := 1 << (int(waysExp) % 7)
-		const sets, cores = 4, 2
-		batched := New(kind, sets, ways, cores, seed)
-		direct := New(kind, sets, ways, cores, seed)
-
-		rng := seed | 1
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-
-		recs := make([]TouchRec, 0, len(ops))
-		for _, op := range ops {
-			r := TouchRec{
-				Set:  int32(int(op) % sets),
-				Way:  int32(next() % uint64(ways)),
-				Core: int32(int(op>>4) % cores),
-			}
-			if op&0x80 != 0 {
-				r.Sig = FillRec | int32(uint8(next()))
-			}
-			recs = append(recs, r)
-		}
-
-		batched.TouchBatch(recs)
-		for _, r := range recs {
-			if r.Sig&FillRec != 0 {
-				direct.Fill(int(r.Set), int(r.Way), int(r.Core), uint8(r.Sig))
-			} else {
-				direct.Touch(int(r.Set), int(r.Way), int(r.Core))
-			}
-		}
-
-		// Same victim schedule against both instances: any state divergence
-		// shows up as a differing choice (both policies see identical masks,
-		// so even stateful Victims — NRU's pointer, Random's RNG — stay in
-		// lockstep when the states match).
-		for trial := 0; trial < 32; trial++ {
-			set := trial % sets
-			mask := WayMask(next())
-			if mask&Full(ways) == 0 {
-				mask |= Full(ways)
-			}
-			vb := batched.Victim(set, trial%cores, mask)
-			vd := direct.Victim(set, trial%cores, mask)
-			if vb != vd {
-				t.Fatalf("%v ways=%d trial=%d: batched victim %d != direct victim %d (mask %v)",
-					kind, ways, trial, vb, vd, mask)
-			}
-			batched.Touch(set, vb, trial%cores)
-			direct.Touch(set, vd, trial%cores)
-		}
-	})
-}

@@ -1,4 +1,4 @@
-package replacement
+package plru
 
 import (
 	"encoding/json"
@@ -18,9 +18,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 // behavior of the implementation.
 //
 // The checked-in testdata/golden.json was generated against the original
-// internal/replacement implementation (before the engine moved to pkg/plru),
-// so this test proves the delegating implementation is equivalent to the
-// pre-refactor one on every policy.
+// paper-reproduction implementation (before the engine became pkg/plru), so
+// this test pins the four paper policies to that behavior step for step.
+// Regenerate only for an intended behavior change:
+//
+//	go test ./pkg/plru -run TestGoldenSequences -update
 func goldenTrace(kind Kind) []int {
 	const (
 		sets  = 4

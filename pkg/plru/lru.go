@@ -56,13 +56,6 @@ func (p *LRUPolicy) Touch(set, way, core int) {
 	p.age[base+way] = 0
 }
 
-// TouchBatch applies deferred accesses in order (see Policy.TouchBatch).
-func (p *LRUPolicy) TouchBatch(recs []TouchRec) {
-	for _, r := range recs {
-		p.Touch(int(r.Set), int(r.Way), int(r.Core))
-	}
-}
-
 // Fill is Touch: LRU keeps no per-line identity, so a new line simply
 // becomes MRU.
 func (p *LRUPolicy) Fill(set, way, core int, sig uint8) { p.Touch(set, way, core) }

@@ -101,15 +101,6 @@ func (p *NRUPolicy) Touch(set, way, core int) {
 	}
 }
 
-// TouchBatch applies deferred accesses in order (see Policy.TouchBatch).
-// The scoped reset rule runs per record with whatever partition masks are
-// installed at drain time, exactly as the equivalent Touch sequence would.
-func (p *NRUPolicy) TouchBatch(recs []TouchRec) {
-	for _, r := range recs {
-		p.Touch(int(r.Set), int(r.Way), int(r.Core))
-	}
-}
-
 // Fill is Touch: NRU keeps no per-line identity, so a fill just sets the
 // used bit under the scoped reset rule.
 func (p *NRUPolicy) Fill(set, way, core int, sig uint8) { p.Touch(set, way, core) }

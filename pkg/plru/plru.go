@@ -24,6 +24,7 @@ package plru
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 )
 
 // Kind identifies a replacement policy family.
@@ -42,50 +43,52 @@ const (
 	ARC                // ARC-style adaptive (T1/T2 tiers + ghost lists)
 )
 
+// registry is the one place a policy kind is registered: its conventional
+// short name and its constructor, indexed by Kind. String, ParseKind,
+// Kinds and New all read it, so adding a policy means a constant above, a
+// row here, and nothing anywhere else.
+var registry = [...]struct {
+	name string
+	new  func(sets, ways, cores int, seed uint64) Policy
+}{
+	LRU:    {"LRU", func(sets, ways, _ int, _ uint64) Policy { return NewLRUPolicy(sets, ways) }},
+	NRU:    {"NRU", func(sets, ways, cores int, _ uint64) Policy { return NewNRUPolicy(sets, ways, cores) }},
+	BT:     {"BT", func(sets, ways, _ int, _ uint64) Policy { return NewBTPolicy(sets, ways) }},
+	Random: {"Random", func(sets, ways, _ int, seed uint64) Policy { return NewRandomPolicy(sets, ways, seed) }},
+	AWRP:   {"AWRP", func(sets, ways, _ int, _ uint64) Policy { return NewAWRPPolicy(sets, ways) }},
+	ARC:    {"ARC", func(sets, ways, _ int, _ uint64) Policy { return NewARCPolicy(sets, ways) }},
+}
+
 // String returns the conventional short name of the policy kind.
 func (k Kind) String() string {
-	switch k {
-	case LRU:
-		return "LRU"
-	case NRU:
-		return "NRU"
-	case BT:
-		return "BT"
-	case Random:
-		return "Random"
-	case AWRP:
-		return "AWRP"
-	case ARC:
-		return "ARC"
-	default:
+	if k < 0 || int(k) >= len(registry) {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return registry[k].name
 }
 
 // Kinds returns every policy kind in declaration order. The slice is
 // freshly allocated; callers may modify it.
 func Kinds() []Kind {
-	return []Kind{LRU, NRU, BT, Random, AWRP, ARC}
+	out := make([]Kind, len(registry))
+	for i := range out {
+		out[i] = Kind(i)
+	}
+	return out
 }
 
-// ParseKind converts a policy name ("LRU", "NRU", "BT", "Random", "AWRP",
-// "ARC", case-sensitive) into a Kind.
+// ParseKind converts a policy name into a Kind. Names are the String
+// forms ("LRU", "NRU", "BT", "Random", "AWRP", "ARC"), matched without
+// regard to case.
 func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "LRU":
-		return LRU, nil
-	case "NRU":
-		return NRU, nil
-	case "BT":
-		return BT, nil
-	case "Random":
-		return Random, nil
-	case "AWRP":
-		return AWRP, nil
-	case "ARC":
-		return ARC, nil
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		if strings.EqualFold(s, r.name) {
+			return Kind(i), nil
+		}
+		names[i] = r.name
 	}
-	return 0, fmt.Errorf("plru: unknown policy %q", s)
+	return 0, fmt.Errorf("plru: unknown policy %q (want one of %s)", s, strings.Join(names, ", "))
 }
 
 // WayMask is a bitmask over cache ways; bit w set means way w is included.
@@ -155,25 +158,6 @@ func (m WayMask) String() string {
 	return s + "}"
 }
 
-// TouchRec is one deferred recency record: an access to way Way of set
-// Set by core Core whose Touch was postponed by the caller (typically a
-// lock-free read path that batches recency updates — see
-// repro/pkg/cpacache's touch ring). Records are applied in slice order by
-// TouchBatch.
-//
-// Sig distinguishes hits from fills for the adaptive policies: zero means
-// a plain Touch; FillRec|sigByte means the record is a deferred Fill
-// whose line signature is the low 8 bits. The static policies ignore the
-// distinction (their Fill is Touch).
-type TouchRec struct {
-	Set, Way, Core int32
-	Sig            int32
-}
-
-// FillRec flags a TouchRec as a deferred Fill; the low 8 bits of Sig
-// carry the line signature passed to Fill.
-const FillRec int32 = 1 << 8
-
 // Policy is the common behavior of a replacement policy instance covering
 // every set of one cache.
 type Policy interface {
@@ -193,14 +177,6 @@ type Policy interface {
 	// ghost/history state, and to reset per-line frequency. For the
 	// static policies Fill is exactly Touch. Fill never allocates.
 	Fill(set, way, core int, sig uint8)
-	// TouchBatch applies a batch of deferred accesses in order, exactly
-	// as the equivalent sequence of Touch (or, for records flagged
-	// FillRec, Fill) calls would. It exists so
-	// callers that defer recency (pseudo-LRU state tolerates late and
-	// even dropped touches) can drain a whole buffer through one call
-	// that stays on the policy's concrete type. TouchBatch never
-	// allocates.
-	TouchBatch(recs []TouchRec)
 	// Victim selects the way to evict in `set` for `core`, restricted to
 	// the allowed mask. The mask must be non-empty; Victim panics on an
 	// empty mask because that is always a caller bug.
@@ -221,22 +197,10 @@ type Policy interface {
 // New constructs a policy of the given kind for a cache with `sets` sets,
 // `ways` ways and `cores` sharer cores. The seed is used only by Random.
 func New(kind Kind, sets, ways, cores int, seed uint64) Policy {
-	switch kind {
-	case LRU:
-		return NewLRUPolicy(sets, ways)
-	case NRU:
-		return NewNRUPolicy(sets, ways, cores)
-	case BT:
-		return NewBTPolicy(sets, ways)
-	case Random:
-		return NewRandomPolicy(sets, ways, seed)
-	case AWRP:
-		return NewAWRPPolicy(sets, ways)
-	case ARC:
-		return NewARCPolicy(sets, ways)
-	default:
+	if kind < 0 || int(kind) >= len(registry) {
 		panic(fmt.Sprintf("plru: unknown kind %d", kind))
 	}
+	return registry[kind].new(sets, ways, cores, seed)
 }
 
 func validateGeometry(sets, ways int) {

@@ -1,6 +1,7 @@
 package plru
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,18 +21,42 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestParseKind pins the registry's contract: every registered kind
+// round-trips String <-> ParseKind, and unknown names are rejected with
+// an error that lists the known ones.
 func TestParseKind(t *testing.T) {
-	for _, name := range []string{"LRU", "NRU", "BT", "Random", "AWRP", "ARC"} {
-		k, err := ParseKind(name)
-		if err != nil {
-			t.Fatalf("ParseKind(%q): %v", name, err)
-		}
-		if k.String() != name {
-			t.Errorf("round trip %q -> %q", name, k.String())
+	for _, k := range Kinds() {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	if _, err := ParseKind("plru"); err == nil {
-		t.Error("ParseKind accepted unknown name")
+	for _, bad := range []string{"plru", "clock", "", "LRU ", "Kind(0)"} {
+		_, err := ParseKind(bad)
+		if err == nil {
+			t.Errorf("ParseKind(%q) accepted", bad)
+			continue
+		}
+		for _, k := range Kinds() {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("ParseKind(%q) error %q does not list %v", bad, err, k)
+			}
+		}
+	}
+}
+
+// TestParseKindIgnoresCase holds the -policy flag spellings cpacached
+// has always accepted (the table moved here with the parser, from
+// internal/server's test of its own parser, now deleted).
+func TestParseKindIgnoresCase(t *testing.T) {
+	for name, want := range map[string]Kind{
+		"lru": LRU, "NRU": NRU, "bt": BT, "Random": Random,
+		"awrp": AWRP, "ARC": ARC, "rAnDoM": Random,
+	} {
+		got, err := ParseKind(name)
+		if err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
 	}
 }
 
@@ -94,12 +119,16 @@ func TestNewConstructsAllKinds(t *testing.T) {
 }
 
 func TestNewUnknownKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unknown kind")
-		}
-	}()
-	New(Kind(99), 1, 4, 1, 0)
+	for _, k := range []Kind{Kind(99), Kind(len(Kinds())), Kind(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%v): no panic for unknown kind", k)
+				}
+			}()
+			New(k, 1, 4, 1, 0)
+		}()
+	}
 }
 
 // TestAllPoliciesVictimInMask exercises the shared Victim contract across

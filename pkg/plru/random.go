@@ -32,9 +32,6 @@ func (p *RandomPolicy) SetPartition(masks []WayMask) {}
 // Touch is a no-op: random replacement keeps no recency state.
 func (p *RandomPolicy) Touch(set, way, core int) {}
 
-// TouchBatch is a no-op: random replacement keeps no recency state.
-func (p *RandomPolicy) TouchBatch(recs []TouchRec) {}
-
 // Fill is a no-op, like Touch.
 func (p *RandomPolicy) Fill(set, way, core int, sig uint8) {}
 
