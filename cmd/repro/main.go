@@ -37,9 +37,12 @@ import (
 	"repro/pkg/plru"
 )
 
+// experimentNames lists what -experiment accepts.
+const experimentNames = "all, table1, table2, fig6, fig7, fig8, fig9, opt"
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig6, fig7, fig8, fig9")
+		experiment = flag.String("experiment", "all", "which experiment to run: "+experimentNames)
 		insts      = flag.Uint64("insts", 1_000_000, "instructions per thread")
 		interval   = flag.Uint64("interval", 250_000, "repartition interval in cycles")
 		sample     = flag.Int("sample", 32, "ATD set-sampling rate (1 in N sets)")
@@ -162,7 +165,7 @@ func main() {
 			fmt.Print(d.Render())
 			writeCSV("opt_scoreboard.csv", d.CSV())
 		default:
-			fatal(fmt.Errorf("unknown experiment %q", name))
+			fatal(fmt.Errorf("unknown experiment %q (want one of: %s)", name, experimentNames))
 		}
 		elapsed := time.Since(start)
 		speed := ""

@@ -128,6 +128,10 @@ type Cache struct {
 	cfg       Config
 	sets      int
 	lineShift uint
+	// A power-of-two set count (every paper geometry) splits a line
+	// number with a mask and a shift; setMask is 0 otherwise.
+	setMask  uint64
+	setShift uint
 
 	tags  []uint64 // sets*ways
 	valid []bool
@@ -160,6 +164,9 @@ func New(cfg Config) *Cache {
 		pol:       plru.New(cfg.Policy, sets, cfg.Ways, cfg.Cores, cfg.Seed),
 		selector:  defaultSelector{},
 		stats:     newStats(cfg.Cores),
+	}
+	if sets&(sets-1) == 0 {
+		c.setMask, c.setShift = uint64(sets-1), log2(sets)
 	}
 	return c
 }
@@ -205,6 +212,9 @@ func (c *Cache) ResetStats() { c.stats = newStats(c.cfg.Cores) }
 // Index splits a byte address into (set, tag).
 func (c *Cache) Index(addr uint64) (set int, tag uint64) {
 	line := addr >> c.lineShift
+	if c.setMask != 0 {
+		return int(line & c.setMask), line >> c.setShift
+	}
 	return int(line % uint64(c.sets)), line / uint64(c.sets)
 }
 

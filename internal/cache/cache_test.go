@@ -212,6 +212,32 @@ func TestIndexBijective(t *testing.T) {
 	}
 }
 
+func TestIndexSplitsLineNumber(t *testing.T) {
+	// Index is (line mod sets, line div sets) on every geometry: by mask
+	// and shift when the set count is a power of two (128 sets here), by
+	// division otherwise (96 sets) — and an evicted line's address is put
+	// back together from the pair either way.
+	for _, sizeBytes := range []int{128 * 64 * 2, 96 * 64 * 2} {
+		c := New(Config{Name: "t", SizeBytes: sizeBytes, LineBytes: 64, Ways: 2, Policy: plru.LRU, Cores: 1})
+		sets := uint64(c.NumSets())
+		f := func(addr uint64) bool {
+			line := addr >> 6
+			set, tag := c.Index(addr)
+			return uint64(set) == line%sets && tag == line/sets
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%d sets: %v", sets, err)
+		}
+		// Three lines of one set in a 2-way cache: the third evicts the first.
+		a := uint64(5) << 6
+		c.Access(0, a)
+		c.Access(0, a+sets<<6)
+		if r := c.Access(0, a+2*sets<<6); !r.Evicted || r.EvictedAddr != a {
+			t.Errorf("%d sets: evicted %+v, want line %#x", sets, r, a)
+		}
+	}
+}
+
 func TestAllPoliciesRunWithoutViolations(t *testing.T) {
 	// Smoke property for every policy: accesses never corrupt the cache
 	// (total valid lines <= capacity, hits are truthful).

@@ -2,17 +2,52 @@
 // private L1 data caches sharing one L2, optionally governed by a dynamic
 // cache partitioning system (internal/core).
 //
-// Scheduling: the run loop always steps the core with the smallest local
-// clock, so shared-L2 accesses interleave in global time order and the CPA
-// repartitions at deterministic global-cycle boundaries. Cores that reach
-// the per-thread instruction target keep running (to preserve contention,
-// as in the paper's methodology) until every core has reached it; each
-// core's IPC is measured at its own crossing point.
+// Scheduling. Every trace event of every core has a place in one global
+// order: by the clock of its core when the event starts, ties to the
+// lower core id. Running all events in that order — one event of the core
+// with the smallest clock at a time — is the definition of a run, and
+// the loop oracle_test.go keeps as its reference. But cores meet only at
+// the shared L2, and 19 events in 20 (branches, L1 hits) never get there.
+// RunContext therefore orders only what somebody else can see: the shared
+// half of an event that missed its L1 (dirty-victim writeback, demand
+// access, stall), the event on which a core reaches its instruction
+// target, and the first event at or past a repartition boundary. Between
+// two of those a core runs ahead on its own (cpu.Core.RunAhead), and stops
+//
+//	(a) on an event whose private half missed the L1;
+//	(b) when a CPA partitions, in front of any event that starts at or
+//	    after the CPA's next interval boundary;
+//	(c) on the event that takes it to MaxInsts, if it has not crossed yet;
+//	(d) once it has crossed, in front of any event at or after the
+//	    smallest key an uncrossed core holds.
+//
+// Each core then holds one key, the start clock of the event it stopped
+// on or in front of, and the scheduler elects the smallest (key, core id),
+// ticks the CPA with it, finishes what that core had pending and lets it
+// run ahead again. This is exact, not approximate: (1) the events run
+// out of order are private ones, and a private event reads and writes
+// its own core's generator, predictor, L1, clock and counters only, so
+// the shared halves — elected in key order — find the L2, the ATDs, the
+// tracer and the DRAM model in the state the full order leaves them in;
+// (2) by (b) no core is past a boundary and none is short of it when the
+// first key at or beyond it is elected, so Tick fires on the same cycle
+// and PerfSince reads the same instructions and cycles; (3) a run ends
+// on the last crossing, an uncrossed core can only run events up to its
+// own crossing (c) and a crossed one only events in front of a key that
+// is not later than that crossing (d), so no core executes an event the
+// full order would not have reached. Results, the traced access order
+// and every repartition are bit-identical to the reference loop's;
+// oracle_test.go checks that for every configuration.
+//
+// Cores that reach the per-thread instruction target keep running (to
+// preserve contention, as in the paper's methodology) until every core
+// has reached it; each core's IPC is measured at its own crossing point.
 package cmp
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -248,56 +283,62 @@ func (s *System) Run() Results {
 	return res
 }
 
-// cancelCheckEvery is how many step-loop iterations pass between context
-// polls in RunContext — coarse enough to stay off the hot path, fine
-// enough that cancellation lands within a fraction of a millisecond.
+// cancelCheckEvery is how many trace events pass between context polls in
+// RunContext, and the most events one core runs ahead in one go — coarse
+// enough to stay off the hot path, fine enough that cancellation lands
+// within a fraction of a millisecond however long the cores' private
+// stretches are.
 const cancelCheckEvery = 4096
 
-// RunContext is Run with cooperative cancellation: the step loop polls
-// ctx every few thousand steps and returns ctx.Err() (with zero Results)
+// RunContext is Run with cooperative cancellation: the scheduler polls
+// ctx every few thousand events and returns ctx.Err() (with zero Results)
 // once it is done. A background context adds no measurable overhead.
+//
+// See the package comment for the scheduling discipline and why it is
+// exact.
 func (s *System) RunContext(ctx context.Context) (Results, error) {
 	n := len(s.cores)
 	crossed := make([]bool, n)
 	results := make([]CoreResult, n)
 	remaining := n
-	// The cores' local clocks, side by side: picking the next core reads
-	// this one slice instead of chasing a pointer per core per event.
-	clocks := make([]float64, n)
+	// keys[i] is the start clock of core i's first event the scheduler has
+	// yet to order; shared[i] says that event's private half already ran
+	// and its shared half is waiting for its turn.
+	keys := make([]float64, n)
+	shared := make([]bool, n)
 	for i, c := range s.cores {
-		clocks[i] = c.Cycles()
+		keys[i] = c.Cycles()
 	}
+	partitioned := s.cpa != nil && s.cpa.Config().Partitioned()
 
 	done := ctx.Done()
 	sinceCheck := 0
-	for remaining > 0 {
-		if done != nil {
-			if sinceCheck++; sinceCheck >= cancelCheckEvery {
-				sinceCheck = 0
-				select {
-				case <-done:
-					return Results{}, ctx.Err()
-				default:
-				}
+	for {
+		if done != nil && sinceCheck >= cancelCheckEvery {
+			sinceCheck = 0
+			select {
+			case <-done:
+				return Results{}, ctx.Err()
+			default:
 			}
 		}
-		// Pick the core with the smallest local clock (ties: lowest id).
+		// Elect the smallest (start clock, core id).
 		min := 0
 		for i := 1; i < n; i++ {
-			if clocks[i] < clocks[min] {
+			if keys[i] < keys[min] {
 				min = i
 			}
 		}
 		c := s.cores[min]
 		if s.cpa != nil {
-			// Global time is the stepping core's clock.
-			s.cpa.Tick(uint64(clocks[min]))
+			// Global time is the elected event's start clock.
+			s.cpa.Tick(uint64(keys[min]))
 		}
-		clocks[min] = c.Step()
-
+		if shared[min] {
+			c.Shared()
+		}
 		if !crossed[min] && c.Insts() >= s.cfg.MaxInsts {
 			crossed[min] = true
-			remaining--
 			results[min] = CoreResult{
 				Benchmark: s.cfg.Workload.Benchmarks[min],
 				Insts:     c.Insts(),
@@ -305,13 +346,48 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 				IPC:       float64(c.Insts()) / c.Cycles(),
 				Stats:     c.Stats(),
 			}
+			if remaining--; remaining == 0 {
+				break
+			}
 		}
+
+		// Let the core run ahead to its next event that needs ordering.
+		before := math.Inf(1)
+		if partitioned {
+			before = float64(s.cpa.NextBoundary()) // rule (b)
+		}
+		crossAt := s.cfg.MaxInsts // rule (c)
+		if crossed[min] {
+			crossAt = math.MaxUint64
+			// Rule (d): stay in front of every uncrossed core's key. An
+			// equal clock still goes first on a lower core id.
+			for u, k := range keys {
+				if crossed[u] {
+					continue
+				}
+				if min < u {
+					k = math.Nextafter(k, math.Inf(1))
+				}
+				if k < before {
+					before = k
+				}
+			}
+		}
+		var events int
+		keys[min], events, shared[min] = c.RunAhead(before, crossAt, cancelCheckEvery)
+		sinceCheck += events
 	}
 
+	return s.results(results), nil
+}
+
+// results assembles the Results of a finished run from the per-core
+// crossing snapshots and the whole-run totals.
+func (s *System) results(perCore []CoreResult) Results {
 	res := Results{
 		Workload:   s.cfg.Workload.Name,
 		ConfigName: s.configName(),
-		PerCore:    results,
+		PerCore:    perCore,
 		L2Accesses: s.l2.Stats().TotalAccesses(),
 		L2Misses:   s.l2.Stats().TotalMisses(),
 		MemWrites:  s.l2.Stats().TotalWritebacks() + s.memWrites,
@@ -330,7 +406,7 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 			res.ATDObserves += m.Observed()
 		}
 	}
-	return res, nil
+	return res
 }
 
 func (s *System) configName() string {

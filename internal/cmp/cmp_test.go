@@ -259,4 +259,32 @@ func TestRunContextCancellation(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("cancellation took %v", d)
 	}
+
+	// Mid-run, on the run with the longest private stretches: one core
+	// (nobody to wait for, no interval boundary) whose working set sits in
+	// its L1. Cancellation latency is counted in events, not in scheduler
+	// turns, so it must land just as fast.
+	cfg = testConfig(t, []string{"eon"}, plru.LRU, "", 1024)
+	cfg.MaxInsts = 1 << 40
+	if sys, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var canceledAt time.Time
+	time.AfterFunc(30*time.Millisecond, func() {
+		canceledAt = time.Now()
+		cancel()
+	})
+	res, err = sys.RunContext(ctx)
+	took := time.Since(canceledAt)
+	if !errors.Is(err, context.Canceled) || len(res.PerCore) != 0 {
+		t.Fatalf("mid-run cancel: err = %v, results %+v", err, res)
+	}
+	if took > 100*time.Millisecond {
+		t.Fatalf("mid-run cancellation took %v", took)
+	}
+	if insts := sys.cores[0].Insts(); insts < 10_000 {
+		t.Fatalf("canceled after %d instructions: the run had not got going", insts)
+	}
 }

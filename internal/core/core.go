@@ -290,6 +290,12 @@ func (s *System) OnAccess(core int, addr uint64) {
 	s.monitors[core].Observe(addr)
 }
 
+// NextBoundary returns the cycle from which Tick repartitions next: Tick
+// does nothing for a smaller cycle, so events that start below it can run
+// in any order without the CPA seeing a difference. It is meaningful only
+// when the configuration is Partitioned (otherwise Tick never fires).
+func (s *System) NextBoundary() uint64 { return s.nextBoundary }
+
 // Tick advances the CPA's notion of time. When `cycle` crosses the next
 // interval boundary the system recomputes the partition from the current
 // (e)SDHs, installs the new enforcement state and halves the SDH

@@ -85,6 +85,15 @@ type Core struct {
 
 	cycles float64
 	stats  Stats
+	miss   l1Miss // the L1 miss whose shared half is still to run
+}
+
+// l1Miss is what the private half of an event leaves for the shared half.
+type l1Miss struct {
+	addr        uint64 // the missing access
+	victim      uint64 // line address of the L1's dirty victim
+	write       bool
+	dirtyVictim bool
 }
 
 // New builds a core running the given profile.
@@ -123,9 +132,52 @@ func (c *Core) IPC() float64 {
 	return float64(c.stats.Insts) / c.cycles
 }
 
-// Step consumes one trace event and returns the core's clock after it, so
-// the scheduler can keep every core's clock without re-reading the cores.
+// Step consumes one whole trace event — its private half and, when it has
+// one, its shared half — and returns the core's clock after it. The
+// simulator proper runs cores through RunAhead and Shared; Step is for
+// driving one core directly.
 func (c *Core) Step() float64 {
+	if c.private() {
+		c.Shared()
+	}
+	return c.cycles
+}
+
+// RunAhead runs whole events for as long as they concern nobody but this
+// core: branches and L1 hits. It stops
+//
+//   - on an event that missed the L1, with that event's private half done
+//     and its shared half (dirty-victim writeback, L2 access, stall) left
+//     for Shared: shared is true and start is the event's start clock;
+//   - on the event that takes the core to crossAt committed instructions:
+//     start is that event's start clock (the event may need Shared too);
+//   - in front of an event whose start clock is not below `before`, and
+//     after maxEvents events: start is then the core's clock, which is the
+//     start clock of the event it has not begun.
+//
+// start is the core's place in the global order of events (a core's
+// events are ordered by start clock), and events is how many events ran,
+// the last one included. After shared is reported the caller must call
+// Shared before it calls RunAhead or Step again.
+func (c *Core) RunAhead(before float64, crossAt uint64, maxEvents int) (start float64, events int, shared bool) {
+	for events < maxEvents && c.cycles < before {
+		start = c.cycles
+		events++
+		if c.private() {
+			return start, events, true
+		}
+		if c.stats.Insts >= crossAt {
+			return start, events, false
+		}
+	}
+	return c.cycles, events, false
+}
+
+// private runs the half of the next event that touches only this core:
+// the generator draw, the clock advance and the predictor or L1 access.
+// It reports whether the event missed the L1 and so has a shared half,
+// which it leaves in c.miss.
+func (c *Core) private() bool {
 	e := c.gen.Next()
 	c.stats.Insts += uint64(e.Insts)
 	c.cycles += float64(e.Insts) / c.prof.BaseIPC
@@ -144,29 +196,38 @@ func (c *Core) Step() float64 {
 	case trace.Mem:
 		c.stats.L1Accesses++
 		r := c.l1.AccessRW(0, e.Addr, e.Write)
-		if r.Writeback {
-			// Dirty L1 victim: deliver it to the L2 (no stall; the
-			// write buffer hides it, but the traffic is real).
-			c.stats.L1Writebacks++
-			c.l2.Writeback(c.id, r.EvictedAddr)
-		}
 		if r.Hit {
-			return c.cycles // L1 hits are pipelined away
+			return false // L1 hits are pipelined away
 		}
 		c.stats.L1Misses++
-		c.stats.L2Accesses++
-		hit, memCycles := c.l2.Access(c.id, e.Addr, e.Write, c.cycles)
-		penalty := c.params.L2HitPenalty
-		if !hit {
-			c.stats.L2Misses++
-			penalty += memCycles
-		}
-		if e.Write {
-			// Stores retire through the store buffer: no pipeline stall,
-			// only the traffic and energy are accounted.
-			return c.cycles
-		}
-		c.cycles += float64(penalty) * (1 - c.prof.MLPOverlap)
+		c.miss = l1Miss{addr: e.Addr, write: e.Write, dirtyVictim: r.Writeback, victim: r.EvictedAddr}
+		return true
 	}
-	return c.cycles
+	return false
+}
+
+// Shared runs the shared half of the event RunAhead stopped on: it
+// delivers the L1's dirty victim, performs the demand L2 access at the
+// core's clock and charges the stall.
+func (c *Core) Shared() {
+	m := c.miss
+	if m.dirtyVictim {
+		// Dirty L1 victim: deliver it to the L2 (no stall; the write
+		// buffer hides it, but the traffic is real).
+		c.stats.L1Writebacks++
+		c.l2.Writeback(c.id, m.victim)
+	}
+	c.stats.L2Accesses++
+	hit, memCycles := c.l2.Access(c.id, m.addr, m.write, c.cycles)
+	penalty := c.params.L2HitPenalty
+	if !hit {
+		c.stats.L2Misses++
+		penalty += memCycles
+	}
+	if m.write {
+		// Stores retire through the store buffer: no pipeline stall,
+		// only the traffic and energy are accounted.
+		return
+	}
+	c.cycles += float64(penalty) * (1 - c.prof.MLPOverlap)
 }

@@ -48,6 +48,9 @@ func (p *LRUPolicy) SetPartition(masks []WayMask) {}
 func (p *LRUPolicy) Touch(set, way, core int) {
 	base := set * p.ways
 	old := p.age[base+way]
+	if old == 0 {
+		return // already MRU: nothing is more recent
+	}
 	for w := 0; w < p.ways; w++ {
 		if a := p.age[base+w]; a < old {
 			p.age[base+w] = a + 1
