@@ -1,6 +1,6 @@
 // Package repro's top-level benchmarks regenerate every table and figure
-// of the paper at a reduced scale, plus the ablation studies listed in
-// DESIGN.md §7. Run a single pass of each with:
+// of the paper at a reduced scale, plus a few parameter sweeps beyond it.
+// Run a single pass of each with:
 //
 //	go test -bench=. -benchmem -benchtime=1x .
 //
@@ -15,7 +15,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/workload"
 	"repro/pkg/plru"
@@ -169,7 +168,7 @@ func BenchmarkSimulator(b *testing.B) {
 }
 
 // BenchmarkAblationScalingFactor sweeps the NRU eSDH scaling factor
-// beyond the paper's three values (DESIGN.md §7).
+// beyond the paper's three values.
 func BenchmarkAblationScalingFactor(b *testing.B) {
 	for _, acr := range []string{"M-1.0N", "M-0.9N", "M-0.75N", "M-0.6N", "M-0.5N"} {
 		b.Run(acr, func(b *testing.B) {
@@ -212,46 +211,6 @@ func rateName(r int) string {
 	}
 }
 
-// BenchmarkAblationLookahead compares the greedy Lookahead allocator with
-// the optimal MinMisses DP.
-func BenchmarkAblationLookahead(b *testing.B) {
-	for _, greedy := range []bool{false, true} {
-		name := "MinMissesDP"
-		if greedy {
-			name = "LookaheadGreedy"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"vpr", "art"}, plru.LRU, "M-L",
-					func(c *core.Config) { c.UseLookahead = greedy })
-				tp = res.Throughput()
-			}
-			b.ReportMetric(tp, "throughput")
-		})
-	}
-}
-
-// BenchmarkAblationColdHits quantifies the paper's "no SDH update on
-// used==0 hits" simplification (DESIGN.md §4.1).
-func BenchmarkAblationColdHits(b *testing.B) {
-	for _, count := range []bool{false, true} {
-		name := "paperDropsColdHits"
-		if count {
-			name = "countColdHits"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, plru.NRU, "M-0.75N",
-					func(c *core.Config) { c.CountColdHits = count })
-				tp = res.Throughput()
-			}
-			b.ReportMetric(tp, "throughput")
-		})
-	}
-}
-
 // BenchmarkAblationInterval sweeps the repartition interval.
 func BenchmarkAblationInterval(b *testing.B) {
 	for _, iv := range []uint64{10_000, 50_000, 250_000} {
@@ -275,89 +234,6 @@ func intervalName(iv uint64) string {
 		return "50k"
 	default:
 		return "250k"
-	}
-}
-
-// BenchmarkAblationGoals compares the partitioning objectives (the
-// FlexDCP-style extensions of DESIGN.md §7) on a contended pair.
-func BenchmarkAblationGoals(b *testing.B) {
-	goals := []struct {
-		name string
-		goal core.Goal
-		qos  float64
-	}{
-		{"MinMisses", core.GoalMinMisses, 0},
-		{"MaxThroughput", core.GoalThroughput, 0},
-		{"FairSlowdown", core.GoalFair, 0},
-		{"QoS1.1x", core.GoalQoS, 1.1},
-	}
-	for _, g := range goals {
-		b.Run(g.name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"art", "twolf"}, plru.LRU, "M-L",
-					func(c *core.Config) { c.Goal = g.goal; c.QoSTarget = g.qos })
-				tp = res.Throughput()
-			}
-			b.ReportMetric(tp, "throughput")
-		})
-	}
-}
-
-// BenchmarkAblationProfiling compares ATD-based profiling (the paper's
-// scheme) with Suh-style in-cache way counters (§VI related work).
-func BenchmarkAblationProfiling(b *testing.B) {
-	for _, inCache := range []bool{false, true} {
-		name := "ATD"
-		if inCache {
-			name = "InCacheWayCounters"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				res := runOnce(b, []string{"twolf", "swim"}, plru.LRU, "M-L",
-					func(c *core.Config) { c.InCacheProfiling = inCache })
-				tp = res.Throughput()
-			}
-			b.ReportMetric(tp, "throughput")
-		})
-	}
-}
-
-// BenchmarkAblationMemoryModel compares the paper's constant 250-cycle
-// memory penalty with the banked open-row DRAM substrate.
-func BenchmarkAblationMemoryModel(b *testing.B) {
-	for _, useDRAM := range []bool{false, true} {
-		name := "constant250"
-		if useDRAM {
-			name = "bankedDRAM"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tp float64
-			for i := 0; i < b.N; i++ {
-				w := workload.Workload{Name: "bench", Benchmarks: []string{"mcf", "swim"}}
-				cfg := cmp.Config{
-					Workload: w,
-					L2: cache.Config{
-						Name: "L2", SizeBytes: 1 << 20, LineBytes: 128, Ways: 16,
-						Policy: plru.LRU, Cores: 2, Seed: 1,
-					},
-					Params:   cpu.DefaultParams(),
-					L1:       cpu.DefaultL1Config(128),
-					MaxInsts: 150_000,
-				}
-				if useDRAM {
-					dcfg := dram.DefaultConfig()
-					cfg.DRAM = &dcfg
-				}
-				sys, err := cmp.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tp = sys.Run().Throughput()
-			}
-			b.ReportMetric(tp, "throughput")
-		})
 	}
 }
 

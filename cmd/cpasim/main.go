@@ -39,9 +39,6 @@ func main() {
 		sample     = flag.Int("sample", 32, "ATD set-sampling rate")
 		showParts  = flag.Bool("partitions", false, "log every repartition decision")
 		optFlag    = flag.Bool("opt", false, "record the demand-access trace and report the Belady/OPT hit rate alongside")
-		goal       = flag.String("goal", "minmisses", "partitioning goal: minmisses, throughput, fair, qos")
-		qosTarget  = flag.Float64("qos", 1.1, "max slowdown for thread 0 under -goal qos")
-		inCache    = flag.Bool("incache", false, "use Suh-style in-cache way counters instead of ATDs (LRU only)")
 	)
 	flag.Parse()
 
@@ -62,20 +59,6 @@ func main() {
 		}
 		cfg.Interval = *interval
 		cfg.SampleRate = *sample
-		cfg.InCacheProfiling = *inCache
-		switch strings.ToLower(*goal) {
-		case "minmisses":
-			cfg.Goal = core.GoalMinMisses
-		case "throughput":
-			cfg.Goal = core.GoalThroughput
-		case "fair":
-			cfg.Goal = core.GoalFair
-		case "qos":
-			cfg.Goal = core.GoalQoS
-			cfg.QoSTarget = *qosTarget
-		default:
-			fatal(fmt.Errorf("unknown goal %q", *goal))
-		}
 		cpaCfg = &cfg
 		kind = cfg.Policy
 	}

@@ -11,6 +11,14 @@
 //     Fragments are accepted if they parse as top-level declarations or
 //     as statements (optionally below a leading import block), which is
 //     how README-style snippets are written.
+//   - Repository paths in prose: in README.md and docs/*.md, every
+//     back-ticked path ending in .go or .md, or starting with internal/,
+//     pkg/, cmd/ or examples/, must exist. A bare file name (`ring.go`)
+//     must exist somewhere in the tree; a Go selector after a package
+//     path (`internal/cmp.System`) is dropped. CHANGES.md, ROADMAP.md and
+//     EXPERIMENTS.md are logs of past states and are not checked.
+//   - Markdown named in Go comments: every *.md a comment names must
+//     exist, next to the Go file or at the scanned root.
 //
 // Exit status is nonzero when any check fails, so `make docs-check` and
 // the CI docs job gate on it.
@@ -35,6 +43,12 @@ var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 // codeSpanRe matches an inline code span, which checkLinks blanks out.
 var codeSpanRe = regexp.MustCompile("`[^`]*`")
 
+// pathSpanRe matches a one-token code span, captured without the ticks.
+var pathSpanRe = regexp.MustCompile("`([^`\\s]+)`")
+
+// mdNameRe matches a Markdown file name in Go comment text.
+var mdNameRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: doccheck [root ...]\n")
@@ -47,35 +61,15 @@ func main() {
 	}
 	problems := 0
 	for _, root := range roots {
-		absRoot, err := filepath.Abs(root)
+		ps, err := checkTree(root)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				name := d.Name()
-				if name == ".git" || name == "vendor" || name == "node_modules" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.EqualFold(filepath.Ext(path), ".md") {
-				return nil
-			}
-			for _, p := range checkFile(path, absRoot) {
-				fmt.Println(p)
-				problems++
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		for _, p := range ps {
+			fmt.Println(p)
 		}
+		problems += len(ps)
 	}
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", problems)
@@ -83,16 +77,133 @@ func main() {
 	}
 }
 
-// checkFile returns the problems found in one Markdown file.
-func checkFile(path, absRoot string) []string {
-	data, err := os.ReadFile(path)
+// checkTree runs every check over the Markdown and Go files under root.
+func checkTree(root string) ([]string, error) {
+	absRoot, err := filepath.Abs(root)
 	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", path, err)}
+		return nil, err
+	}
+	var mdFiles, goFiles []string
+	baseNames := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == ".git" || name == "vendor" || name == "node_modules" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		baseNames[d.Name()] = true
+		switch {
+		case strings.EqualFold(filepath.Ext(path), ".md"):
+			mdFiles = append(mdFiles, path)
+		case filepath.Ext(path) == ".go":
+			goFiles = append(goFiles, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var problems []string
-	problems = append(problems, checkLinks(path, absRoot, data)...)
-	problems = append(problems, checkGoBlocks(path, data)...)
+	for _, path := range mdFiles {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, checkLinks(path, absRoot, data)...)
+		problems = append(problems, checkGoBlocks(path, data)...)
+		if rel, _ := filepath.Rel(root, path); rel == "README.md" || filepath.Dir(rel) == "docs" {
+			problems = append(problems, checkPathSpans(path, root, baseNames, data)...)
+		}
+	}
+	for _, path := range goFiles {
+		ps, err := checkGoComments(path, root)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, ps...)
+	}
+	return problems, nil
+}
+
+// checkPathSpans reports back-ticked repository paths that do not exist.
+// Paths resolve against the scanned root; a bare file name only has to
+// exist somewhere in the tree (baseNames).
+func checkPathSpans(path, root string, baseNames map[string]bool, data []byte) []string {
+	var problems []string
+	inFence := false
+	for lineNo, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if inFence {
+			continue
+		}
+		for _, m := range pathSpanRe.FindAllStringSubmatch(line, -1) {
+			p := strings.TrimPrefix(m[1], "./")
+			isFile := strings.HasSuffix(p, ".go") || strings.HasSuffix(p, ".md")
+			if !isFile && !hasAnyPrefix(p, "internal/", "pkg/", "cmd/", "examples/") {
+				continue
+			}
+			ok := exists(filepath.Join(root, p))
+			switch {
+			case isFile && !strings.Contains(p, "/"):
+				ok = baseNames[p]
+			case !ok && !isFile:
+				// A Go selector: internal/cmp.System names internal/cmp.
+				dir, last := "", p
+				if i := strings.LastIndex(p, "/"); i >= 0 {
+					dir, last = p[:i+1], p[i+1:]
+				}
+				last, _, _ = strings.Cut(last, ".")
+				ok = exists(filepath.Join(root, dir+last))
+			}
+			if !ok {
+				problems = append(problems, fmt.Sprintf("%s:%d: no such repository path %q", path, lineNo+1, m[1]))
+			}
+		}
+	}
 	return problems
+}
+
+// checkGoComments reports *.md files named in a Go file's comments that
+// exist neither next to the file nor at the scanned root.
+func checkGoComments(path, root string) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, g := range f.Comments {
+		for _, c := range g.List {
+			for _, name := range mdNameRe.FindAllString(c.Text, -1) {
+				if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(filepath.Join(root, name)) {
+					problems = append(problems, fmt.Sprintf("%s: comment names missing %s", fset.Position(c.Pos()), name))
+				}
+			}
+		}
+	}
+	return problems, nil
+}
+
+func hasAnyPrefix(s string, prefixes ...string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
+			return true
+		}
+	}
+	return false
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // checkLinks validates relative link targets against the filesystem.

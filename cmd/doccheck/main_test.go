@@ -1,0 +1,78 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// writeTree creates files (path -> content) under a fresh directory.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, body := range files {
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// wantProblems runs every check on root and requires exactly the
+// problems containing each of want, in any order.
+func wantProblems(t *testing.T, root string, want ...string) {
+	t.Helper()
+	got, err := checkTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d problems %q, want %d matching %q", len(got), got, len(want), want)
+	}
+	for _, w := range want {
+		found := false
+		for _, g := range got {
+			found = found || strings.Contains(g, w)
+		}
+		if !found {
+			t.Errorf("no problem mentions %q in %q", w, got)
+		}
+	}
+}
+
+func TestGoCommentNamesMissingMarkdown(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"NOTES.md":           "# notes\n",
+		"pkg/a/README.md":    "# a\n",
+		"pkg/a/a.go":         "// Package a: see NOTES.md, README.md and GONE.md §5.\npackage a\n",
+		"pkg/b/b.go":         "package b\n\n// F follows docs/MISSING.md.\nfunc F() {}\n",
+		"pkg/b/strings.go":   "package b\n\nconst s = \"STRING.md is not a comment\"\n",
+		"pkg/c/c_test.go":    "package c\n\n// See NOTES.md.\n",
+		"pkg/c/c_fixed.go":   "package c\n\n// See pkg/a/README.md.\n",
+		"pkg/c/nocomment.go": "package c\n",
+	})
+	wantProblems(t, root, "a.go:1:1: comment names missing GONE.md", "b.go:3:1: comment names missing docs/MISSING.md")
+}
+
+func TestBacktickedPathMustExist(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/cmp/cmp.go": "package cmp\n",
+		"pkg/x/ring.go":       "package x\n",
+		"README.md": "Uses `internal/cmp`, `internal/cmp.System.Run`, `./internal/cmp/cmp.go`,\n" +
+			"`ring.go`, `go test ./...` and `internal/dram`.\n\n" +
+			"```\ninternal/fenced is not prose `internal/fenced`\n```\n",
+		"docs/DESIGN.md":   "# design\n\nSee `policyref.go` and `docs/GONE.md`; `x.go y` is not a path.\n",
+		"docs/sub/deep.md": "`internal/deep` is below docs/ and not checked.\n",
+		"CHANGES.md":       "- deleted `internal/old`\n",
+		"pkg/x/README.md":  "`internal/pkgreadme` is not the root README.\n",
+	})
+	wantProblems(t, root,
+		`README.md:2: no such repository path "internal/dram"`,
+		`DESIGN.md:3: no such repository path "policyref.go"`,
+		`DESIGN.md:3: no such repository path "docs/GONE.md"`)
+}

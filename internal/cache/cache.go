@@ -63,14 +63,6 @@ type VictimSelector interface {
 	SelectVictim(c *Cache, set, core int) int
 }
 
-// Observer receives every access outcome before the replacement state is
-// updated. On a hit under LRU replacement, lruDist is the line's 1-based
-// stack position (what Suh-style in-cache way counters sample); on a
-// miss, lruDist is Ways()+1. Under non-LRU policies lruDist is 0.
-type Observer interface {
-	OnCacheAccess(core, set int, hit bool, lruDist int)
-}
-
 // defaultSelector implements unpartitioned replacement: any way is fair
 // game and the policy picks.
 type defaultSelector struct{}
@@ -140,7 +132,6 @@ type Cache struct {
 
 	pol      plru.Policy
 	selector VictimSelector
-	observer Observer
 
 	stats Stats
 }
@@ -200,9 +191,6 @@ func (c *Cache) SetVictimSelector(s VictimSelector) {
 	c.selector = s
 }
 
-// SetObserver installs an access observer (nil removes it).
-func (c *Cache) SetObserver(o Observer) { c.observer = o }
-
 // Stats returns a pointer to the live statistics.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
@@ -237,13 +225,6 @@ func (c *Cache) AccessRW(core int, addr uint64, write bool) Result {
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.valid[base+w] && c.tags[base+w] == tag {
 			c.stats.Hits[core]++
-			if c.observer != nil {
-				dist := 0
-				if lru, ok := c.pol.(*plru.LRUPolicy); ok {
-					dist = lru.Dist(set, w)
-				}
-				c.observer.OnCacheAccess(core, set, true, dist)
-			}
 			c.pol.Touch(set, w, core)
 			if write {
 				c.dirty[base+w] = true
@@ -254,9 +235,6 @@ func (c *Cache) AccessRW(core int, addr uint64, write bool) Result {
 
 	// Miss path.
 	c.stats.Misses[core]++
-	if c.observer != nil {
-		c.observer.OnCacheAccess(core, set, false, c.cfg.Ways+1)
-	}
 	res := Result{Hit: false}
 
 	// Fill an invalid way first if one exists.

@@ -27,11 +27,10 @@
 // run ahead again. This is exact, not approximate: (1) the events run
 // out of order are private ones, and a private event reads and writes
 // its own core's generator, predictor, L1, clock and counters only, so
-// the shared halves — elected in key order — find the L2, the ATDs, the
-// tracer and the DRAM model in the state the full order leaves them in;
-// (2) by (b) no core is past a boundary and none is short of it when the
-// first key at or beyond it is elected, so Tick fires on the same cycle
-// and PerfSince reads the same instructions and cycles; (3) a run ends
+// the shared halves — elected in key order — find the L2, the ATDs and
+// the tracer in the state the full order leaves them in; (2) by (b) no
+// core is past a boundary and none is short of it when the first key at
+// or beyond it is elected, so Tick fires on the same cycle; (3) a run ends
 // on the last crossing, an uncrossed core can only run events up to its
 // own crossing (c) and a crossed one only events in front of a key that
 // is not later than that crossing (d), so no core executes an event the
@@ -52,7 +51,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/workload"
 	"repro/pkg/plru"
 )
@@ -65,10 +63,6 @@ type Config struct {
 	Params   cpu.Params        // core latencies
 	L1       cache.Config      // per-core private L1 template
 	MaxInsts uint64            // per-thread instruction target
-	// DRAM, when non-nil, replaces the constant memory penalty with the
-	// banked open-row memory model (internal/dram). nil keeps the
-	// paper's flat Params.MemPenalty.
-	DRAM *dram.Config
 }
 
 // DefaultL2Config returns the paper's shared L2 (2 MB, 16-way, 128 B
@@ -168,12 +162,7 @@ type System struct {
 	cpa   *core.System
 	cores []*cpu.Core
 
-	// Per-core snapshots backing the core.PerfSource implementation.
-	lastInsts  []uint64
-	lastCycles []float64
-
-	memWrites uint64       // L1 writebacks that missed the L2 (straight to DRAM)
-	mem       *dram.Memory // nil = constant memory latency
+	memWrites uint64 // L1 writebacks that missed the L2 (straight to memory)
 
 	demandAccesses uint64 // program accesses through Access (no writebacks)
 	demandHits     uint64
@@ -195,12 +184,6 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, l2: cache.New(cfg.L2)}
-	if cfg.DRAM != nil {
-		if err := cfg.DRAM.Validate(); err != nil {
-			return nil, err
-		}
-		s.mem = dram.New(*cfg.DRAM)
-	}
 	if cfg.CPA != nil {
 		sys, err := core.NewSystem(*cfg.CPA, s.l2)
 		if err != nil {
@@ -217,23 +200,7 @@ func New(cfg Config) (*System, error) {
 		l1.Name = fmt.Sprintf("L1D%d", i)
 		s.cores = append(s.cores, cpu.New(i, prof, workload.Seed(b), l1, cfg.Params, s))
 	}
-	s.lastInsts = make([]uint64, len(s.cores))
-	s.lastCycles = make([]float64, len(s.cores))
-	if s.cpa != nil {
-		s.cpa.SetPerfSource(s)
-	}
 	return s, nil
-}
-
-// PerfSince implements core.PerfSource: the instructions and cycles the
-// core consumed since the previous repartition's query.
-func (s *System) PerfSince(coreID int) (uint64, float64) {
-	c := s.cores[coreID]
-	insts, cycles := c.Insts(), c.Cycles()
-	di := insts - s.lastInsts[coreID]
-	dc := cycles - s.lastCycles[coreID]
-	s.lastInsts[coreID], s.lastCycles[coreID] = insts, cycles
-	return di, dc
 }
 
 // L2Cache exposes the shared cache (tests, examples).
@@ -242,9 +209,9 @@ func (s *System) L2Cache() *cache.Cache { return s.l2 }
 // CPA exposes the partitioning system (nil when unpartitioned).
 func (s *System) CPA() *core.System { return s.cpa }
 
-// Access implements cpu.SharedL2: it feeds the profiling monitor,
-// performs the L2 access and, on a miss, prices the memory access.
-func (s *System) Access(coreID int, addr uint64, write bool, now float64) (bool, uint64) {
+// Access implements cpu.SharedL2: it feeds the profiling monitor and
+// performs the L2 access.
+func (s *System) Access(coreID int, addr uint64, write bool) bool {
 	if s.cpa != nil {
 		s.cpa.OnAccess(coreID, addr)
 	}
@@ -254,16 +221,10 @@ func (s *System) Access(coreID int, addr uint64, write bool, now float64) (bool,
 	s.demandAccesses++
 	if s.l2.AccessRW(coreID, addr, write).Hit {
 		s.demandHits++
-		return true, 0
+		return true
 	}
-	if s.mem != nil {
-		return false, s.mem.Access(addr, now)
-	}
-	return false, s.cfg.Params.MemPenalty
+	return false
 }
-
-// Memory exposes the DRAM model (nil when the constant penalty is used).
-func (s *System) Memory() *dram.Memory { return s.mem }
 
 // Writeback implements cpu.SharedL2: a dirty L1 victim updates the L2
 // without being profiled (it is not a program access). A writeback that

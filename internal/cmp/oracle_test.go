@@ -10,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/pkg/cpapart"
@@ -85,11 +84,8 @@ type oracleConfig struct {
 }
 
 // oracleConfigs lists the four unpartitioned policies, every acronym
-// shape core.ParseAcronym accepts ({C,M} x {L, BT, <scale>N}), the three
-// goal-directed allocators (the only readers of PerfSince, so the
-// configurations that notice a core being one private event off at a
-// boundary), in-cache profiling, and a CPA that is attached but does not
-// partition.
+// shape core.ParseAcronym accepts ({C,M} x {L, BT, <scale>N}), and a CPA
+// that is attached but does not partition.
 func oracleConfigs(t testing.TB) []oracleConfig {
 	t.Helper()
 	out := []oracleConfig{
@@ -98,29 +94,15 @@ func oracleConfigs(t testing.TB) []oracleConfig {
 		{name: "none-BT", kind: plru.BT},
 		{name: "none-Random", kind: plru.Random},
 	}
-	parse := func(acr string, name string, tweak func(*core.Config)) {
-		c, err := core.ParseAcronym(acr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tweak != nil {
-			tweak(&c)
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, oracleConfig{name: name, kind: c.Policy, cpa: &c})
-	}
 	for _, prefix := range []string{"C-", "M-"} {
 		for _, suffix := range []string{"L", "BT", "1.0N", "0.75N", "0.5N"} {
-			parse(prefix+suffix, prefix+suffix, nil)
+			c, err := core.ParseAcronym(prefix + suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, oracleConfig{name: c.Acronym, kind: c.Policy, cpa: &c})
 		}
 	}
-	parse("M-L", "M-L/throughput", func(c *core.Config) { c.Goal = core.GoalThroughput })
-	parse("C-L", "C-L/fair", func(c *core.Config) { c.Goal = core.GoalFair })
-	parse("M-BT", "M-BT/fair", func(c *core.Config) { c.Goal = core.GoalFair })
-	parse("M-0.75N", "M-0.75N/qos", func(c *core.Config) { c.Goal, c.QoSTarget = core.GoalQoS, 1.2 })
-	parse("M-L", "M-L/incache", func(c *core.Config) { c.InCacheProfiling = true })
 	out = append(out, oracleConfig{name: "cpa-unpartitioned", kind: plru.LRU,
 		cpa: &core.Config{Policy: plru.LRU, Enforcement: core.EnforceNone}})
 	return out
@@ -134,7 +116,6 @@ type oracleRun struct {
 	maxInsts   uint64
 	interval   uint64
 	sampleRate int
-	dram       bool
 	// profiles, when set, replaces the catalog programs of benchmarks
 	// (which then only names the cores) with these, seeded by core id.
 	profiles []trace.Profile
@@ -145,8 +126,8 @@ func (r oracleRun) String() string {
 	if r.profiles != nil {
 		programs = fmt.Sprintf("[%d synthetic]", len(r.profiles))
 	}
-	return fmt.Sprintf("%s %s %dKB insts=%d interval=%d sample=%d dram=%v",
-		r.oc.name, programs, r.sizeKB, r.maxInsts, r.interval, r.sampleRate, r.dram)
+	return fmt.Sprintf("%s %s %dKB insts=%d interval=%d sample=%d",
+		r.oc.name, programs, r.sizeKB, r.maxInsts, r.interval, r.sampleRate)
 }
 
 func (r oracleRun) config() Config {
@@ -165,16 +146,12 @@ func (r oracleRun) config() Config {
 		c.Interval, c.SampleRate = r.interval, r.sampleRate
 		cfg.CPA = &c
 	}
-	if r.dram {
-		d := dram.DefaultConfig()
-		cfg.DRAM = &d
-	}
 	return cfg
 }
 
 // observation is everything of a run that another part of the repository
 // can see: the results, the traced demand accesses, the repartition
-// decisions, and where every core, the L2, the DRAM and the CPA stood
+// decisions, and where every core, the L2 and the CPA stood
 // when the run ended.
 type observation struct {
 	Results  Results
@@ -183,7 +160,6 @@ type observation struct {
 	Cycles   []float64
 	Cores    []cpu.Stats
 	L2       cache.Stats
-	DRAM     dram.Stats
 	Alloc    cpapart.Allocation
 }
 
@@ -226,9 +202,6 @@ func observe(t testing.TB, r oracleRun, run func(*System, context.Context) (Resu
 		o.Cores = append(o.Cores, c.Stats())
 	}
 	o.L2 = *sys.L2Cache().Stats()
-	if sys.Memory() != nil {
-		o.DRAM = sys.Memory().Stats()
-	}
 	if sys.CPA() != nil {
 		o.Alloc = sys.CPA().Allocation()
 	}
@@ -270,8 +243,8 @@ func checkAgainstOracle(t testing.TB, r oracleRun) observation {
 	if !reflect.DeepEqual(got.Cycles, want.Cycles) || !reflect.DeepEqual(got.Cores, want.Cores) {
 		t.Errorf("%v: cores stopped elsewhere\n got %v %+v\nwant %v %+v", r, got.Cycles, got.Cores, want.Cycles, want.Cores)
 	}
-	if !reflect.DeepEqual(got.L2, want.L2) || got.DRAM != want.DRAM || !reflect.DeepEqual(got.Alloc, want.Alloc) {
-		t.Errorf("%v: shared state differs\n got %+v %+v %v\nwant %+v %+v %v", r, got.L2, got.DRAM, got.Alloc, want.L2, want.DRAM, want.Alloc)
+	if !reflect.DeepEqual(got.L2, want.L2) || !reflect.DeepEqual(got.Alloc, want.Alloc) {
+		t.Errorf("%v: shared state differs\n got %+v %v\nwant %+v %v", r, got.L2, got.Alloc, want.L2, want.Alloc)
 	}
 	t.FailNow()
 	return got
@@ -284,29 +257,27 @@ var oracleBenchmarks = []string{"mcf", "eon", "swim", "twolf", "sixtrack", "art"
 
 // TestSchedulerMatchesReferenceRun is the exactness proof by exhaustion
 // over the configuration space: 1, 2, 4 and 8 cores under every
-// oracleConfigs entry, on the constant-latency memory and on the DRAM
-// model, with an interval short enough for dozens of boundaries.
+// oracleConfigs entry, with an interval short enough for dozens of
+// boundaries.
 func TestSchedulerMatchesReferenceRun(t *testing.T) {
 	for _, oc := range oracleConfigs(t) {
 		t.Run(oc.name, func(t *testing.T) {
 			t.Parallel()
 			for _, cores := range []int{1, 2, 4, 8} {
-				for _, withDRAM := range []bool{false, true} {
-					r := oracleRun{
-						benchmarks: oracleBenchmarks[:cores], oc: oc, sizeKB: 256,
-						// The slowest core sets the run's length, so more
-						// cores need fewer instructions each for as many
-						// boundaries.
-						maxInsts: uint64(20_000 / (1 + cores/2)), interval: 300, sampleRate: 4, dram: withDRAM,
-					}
-					got := checkAgainstOracle(t, r)
-					if oc.cpa != nil && oc.cpa.Partitioned() && len(got.Reparts) < 20 {
-						t.Errorf("%v: only %d interval boundaries", r, len(got.Reparts))
-					}
-					if len(got.Accesses) == 0 || got.Cores[0].L1Writebacks == 0 {
-						t.Errorf("%v: %d demand accesses, %d dirty L1 victims on core 0: the run exercised nothing",
-							r, len(got.Accesses), got.Cores[0].L1Writebacks)
-					}
+				r := oracleRun{
+					benchmarks: oracleBenchmarks[:cores], oc: oc, sizeKB: 256,
+					// The slowest core sets the run's length, so more
+					// cores need fewer instructions each for as many
+					// boundaries.
+					maxInsts: uint64(20_000 / (1 + cores/2)), interval: 300, sampleRate: 4,
+				}
+				got := checkAgainstOracle(t, r)
+				if oc.cpa != nil && oc.cpa.Partitioned() && len(got.Reparts) < 20 {
+					t.Errorf("%v: only %d interval boundaries", r, len(got.Reparts))
+				}
+				if len(got.Accesses) == 0 || got.Cores[0].L1Writebacks == 0 {
+					t.Errorf("%v: %d demand accesses, %d dirty L1 victims on core 0: the run exercised nothing",
+						r, len(got.Accesses), got.Cores[0].L1Writebacks)
 				}
 			}
 		})
@@ -315,7 +286,7 @@ func TestSchedulerMatchesReferenceRun(t *testing.T) {
 
 // TestSchedulerMatchesReferenceRunRandomized draws whole simulations —
 // how many cores, which programs, which configuration, the budget, the
-// interval, the L2 size, the memory model — from a seeded generator.
+// interval, the L2 size — from a seeded generator.
 // Intervals range from a handful of events to longer than the run, and
 // budgets from shorter than one interval to many, which moves the four
 // stop rules against each other in ways the grid above does not.
@@ -335,16 +306,8 @@ func TestSchedulerMatchesReferenceRunRandomized(t *testing.T) {
 			maxInsts:   uint64(500 + rng.IntN(25_000)),
 			interval:   uint64(50 + rng.IntN(1<<(6+rng.IntN(11)))), // up to 64 .. 64 K cycles
 			sampleRate: 1 << rng.IntN(4),
-			dram:       rng.IntN(2) == 0,
 		}
-		cores := 1 + rng.IntN(8)
-		if r.oc.cpa != nil && r.oc.cpa.Enforcement == core.EnforceUpDown {
-			// The CPA's initial equal split must be a buddy layout, which
-			// an equal split over 3, 5, 6 or 7 cores is not (NewSystem
-			// panics on it).
-			cores = 1 << rng.IntN(4)
-		}
-		for range cores {
+		for range 1 + rng.IntN(8) {
 			r.benchmarks = append(r.benchmarks, names[rng.IntN(len(names))])
 		}
 		checkAgainstOracle(t, r)
@@ -382,7 +345,7 @@ func TestSchedulerMatchesReferenceRunOnClockTies(t *testing.T) {
 	var configs []oracleConfig
 	for _, oc := range oracleConfigs(t) {
 		switch oc.name {
-		case "none-LRU", "M-L", "M-L/throughput", "M-BT":
+		case "none-LRU", "M-L", "C-L", "M-BT":
 			configs = append(configs, oc)
 		}
 	}
@@ -393,7 +356,6 @@ func TestSchedulerMatchesReferenceRunOnClockTies(t *testing.T) {
 			maxInsts:   uint64(200 + rng.IntN(4_000)),
 			interval:   uint64(100 + rng.IntN(3_000)),
 			sampleRate: 4,
-			dram:       rng.IntN(2) == 0,
 		}
 		for range 2 << rng.IntN(3) { // 2, 4 or 8 cores
 			r.benchmarks = append(r.benchmarks, "gzip")

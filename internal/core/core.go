@@ -1,7 +1,7 @@
 // Package core assembles the paper's complete dynamic cache partitioning
-// system: per-thread profiling monitors (ATD + SDH/eSDH), a partition
-// selection algorithm (MinMisses by default) invoked at fixed cycle
-// intervals, and the enforcement logic that constrains victim selection in
+// system: per-thread profiling monitors (ATD + SDH/eSDH), MinMisses
+// partition selection (over buddy shares under up/down enforcement)
+// invoked at fixed cycle intervals, and the enforcement logic that constrains victim selection in
 // the shared L2.
 //
 // Configurations follow the paper's acronyms (§V-B):
@@ -68,23 +68,6 @@ type Config struct {
 	NRUScale    float64     // eSDH scaling factor (NRU only)
 	SampleRate  int         // ATD set sampling (paper: 32)
 	Interval    uint64      // repartition interval in cycles (paper: 1M)
-	// CountColdHits enables the NRU used==0 ablation (see profiling).
-	CountColdHits bool
-	// UseLookahead switches MinMisses to the greedy Lookahead algorithm
-	// (ablation; the DP optimum is the default).
-	UseLookahead bool
-	// Goal selects the optimization target (GoalMinMisses by default;
-	// the IPC-based goals need a PerfSource — see goals.go).
-	Goal Goal
-	// QoSTarget is GoalQoS's maximum slowdown for thread 0 (>= 1).
-	QoSTarget float64
-	// MissPenalty is the per-miss cycle estimate the IPC-based goals use
-	// (defaults to 250 when zero).
-	MissPenalty uint64
-	// InCacheProfiling replaces the per-thread ATDs with Suh-style way
-	// counters sampling the shared cache's own LRU stack positions
-	// (paper §VI related work; LRU policy only). An ablation option.
-	InCacheProfiling bool
 }
 
 // Partitioned reports whether the configuration partitions the cache.
@@ -105,12 +88,6 @@ func (c Config) Validate() error {
 		if c.Interval == 0 {
 			return fmt.Errorf("core: repartition interval must be positive")
 		}
-	}
-	if c.Goal == GoalQoS && c.QoSTarget < 1 {
-		return fmt.Errorf("core: QoS goal needs QoSTarget >= 1, got %v", c.QoSTarget)
-	}
-	if c.InCacheProfiling && c.Policy != plru.LRU {
-		return fmt.Errorf("core: in-cache profiling requires LRU, got %v", c.Policy)
 	}
 	return nil
 }
@@ -184,8 +161,6 @@ type System struct {
 	cores    int
 	ways     int
 	monitors []*profiling.Monitor
-	inCache  *profiling.InCacheProfiler
-	algo     cpapart.Algorithm
 
 	alloc  cpapart.Allocation
 	masks  []plru.WayMask
@@ -195,7 +170,6 @@ type System struct {
 
 	nextBoundary uint64
 	repartitions uint64
-	perf         PerfSource
 
 	// OnRepartition, when non-nil, observes every repartition decision
 	// (used by the partition-explorer example and tests).
@@ -213,9 +187,6 @@ func NewSystem(cfg Config, l2 *cache.Cache) (*System, error) {
 	if cfg.Partitioned() && lc.Policy != cfg.Policy {
 		return nil, fmt.Errorf("core: config policy %v != L2 policy %v", cfg.Policy, lc.Policy)
 	}
-	if cfg.MissPenalty == 0 {
-		cfg.MissPenalty = 250
-	}
 	s := &System{
 		cfg:   cfg,
 		l2:    l2,
@@ -228,31 +199,18 @@ func NewSystem(cfg Config, l2 *cache.Cache) (*System, error) {
 	if lc.Cores > lc.Ways {
 		return nil, fmt.Errorf("core: %d cores cannot each own a way of a %d-way cache", lc.Cores, lc.Ways)
 	}
-	if cfg.UseLookahead {
-		s.algo = cpapart.Lookahead{}
-	} else {
-		s.algo = cpapart.MinMisses{}
+	for i := 0; i < lc.Cores; i++ {
+		s.monitors = append(s.monitors, profiling.NewMonitor(profiling.Config{
+			L2Sets:     lc.Sets(),
+			Ways:       lc.Ways,
+			LineBytes:  lc.LineBytes,
+			SampleRate: cfg.SampleRate,
+			Kind:       cfg.Policy,
+			NRUScale:   cfg.NRUScale,
+			Seed:       lc.Seed + uint64(i) + 1,
+		}))
 	}
-	if cfg.InCacheProfiling {
-		s.inCache = profiling.NewInCacheProfiler(lc.Cores, lc.Ways)
-		l2.SetObserver(s.inCache)
-	} else {
-		for i := 0; i < lc.Cores; i++ {
-			s.monitors = append(s.monitors, profiling.NewMonitor(profiling.Config{
-				L2Sets:        lc.Sets(),
-				Ways:          lc.Ways,
-				LineBytes:     lc.LineBytes,
-				SampleRate:    cfg.SampleRate,
-				Kind:          cfg.Policy,
-				NRUScale:      cfg.NRUScale,
-				CountColdHits: cfg.CountColdHits,
-				Seed:          lc.Seed + uint64(i) + 1,
-			}))
-		}
-	}
-	// Start from an equal split until the first interval elapses.
-	curves := s.missCurves()
-	s.install(cpapart.Fair{}.Allocate(curves, s.ways))
+	s.install(s.initialAllocation())
 	s.nextBoundary = cfg.Interval
 	l2.SetVictimSelector(s)
 	return s, nil
@@ -319,12 +277,13 @@ func (s *System) Repartition(cycle uint64) {
 		return
 	}
 	curves := s.missCurves()
-	s.install(s.goalAllocate(curves))
+	if s.cfg.Enforcement == EnforceUpDown {
+		s.install(cpapart.BuddyMinMisses(curves, s.ways))
+	} else {
+		s.install(cpapart.MinMisses{}.Allocate(curves, s.ways))
+	}
 	for _, m := range s.monitors {
 		m.Halve()
-	}
-	if s.inCache != nil {
-		s.inCache.Halve()
 	}
 	s.repartitions++
 	if s.OnRepartition != nil {
@@ -332,16 +291,26 @@ func (s *System) Repartition(cycle uint64) {
 	}
 }
 
-// missCurves snapshots each thread's predicted miss curve from whichever
-// profiling source is active.
+// initialAllocation is the partition in force until the first interval
+// elapses: the equal split, or — when up/down enforcement cannot lay the
+// equal split out as aligned power-of-two blocks (3, 5, 6 or 7 cores) —
+// the buddy allocation MinMisses picks over the still-empty profiles.
+func (s *System) initialAllocation() cpapart.Allocation {
+	curves := s.missCurves()
+	alloc := cpapart.Fair{}.Allocate(curves, s.ways)
+	if s.cfg.Enforcement == EnforceUpDown {
+		if _, err := cpapart.BuddyLayout(alloc, s.ways); err != nil {
+			return cpapart.BuddyMinMisses(curves, s.ways)
+		}
+	}
+	return alloc
+}
+
+// missCurves snapshots each thread's predicted miss curve.
 func (s *System) missCurves() [][]uint64 {
 	curves := make([][]uint64, s.cores)
 	for i := range curves {
-		if s.inCache != nil {
-			curves[i] = s.inCache.SDH(i).MissCurve()
-		} else {
-			curves[i] = s.monitors[i].SDH().MissCurve()
-		}
+		curves[i] = s.monitors[i].SDH().MissCurve()
 	}
 	return curves
 }

@@ -181,8 +181,8 @@ func TestMinMissesStarvesStreamingThread(t *testing.T) {
 		}
 	}
 	// M-BT cannot express an asymmetric 2-thread split of 8 ways: the
-	// only buddy composition is [4 4] (the coarseness documented in
-	// DESIGN.md §4.3). Verify exactly that.
+	// only buddy composition is [4 4] (the coarseness docs/ARCHITECTURE.md
+	// describes under Layer 2). Verify exactly that.
 	_, sys := driveWorkload(t, "M-BT", plru.BT, 3000)
 	alloc := sys.Allocation()
 	if alloc[0] != 4 || alloc[1] != 4 {
@@ -325,21 +325,5 @@ func TestSDHHalvedAtBoundary(t *testing.T) {
 	after := sys.Monitors()[0].SDH().Total()
 	if after >= before {
 		t.Fatalf("SDH not aged: %d -> %d", before, after)
-	}
-}
-
-func TestLookaheadConfig(t *testing.T) {
-	l2 := cache.New(l2Config(plru.LRU, 2, 4, 8))
-	cfg, _ := ParseAcronym("M-L")
-	cfg.SampleRate = 1
-	cfg.Interval = 100
-	cfg.UseLookahead = true
-	sys, err := NewSystem(cfg, l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Tick(100)
-	if !sys.Allocation().Valid(8) {
-		t.Fatalf("lookahead allocation invalid: %v", sys.Allocation())
 	}
 }

@@ -3,10 +3,10 @@
 // a branch predictor, and charges latency for L2 and memory accesses.
 //
 // This is the simulator-substrate substitution for the paper's Turandot
-// out-of-order core (DESIGN.md §5): the 8-wide window is summarized by the
-// benchmark's BaseIPC, the front end by the simulated tournament predictor
-// and BTB penalties, and memory-level parallelism by the profile's
-// MLPOverlap factor that hides part of every L2/memory penalty.
+// out-of-order core: the 8-wide window is summarized by the benchmark's
+// BaseIPC, the front end by the simulated tournament predictor and BTB
+// penalties, and memory-level parallelism by the profile's MLPOverlap
+// factor that hides part of every L2/memory penalty.
 package cpu
 
 import (
@@ -50,11 +50,9 @@ func DefaultL1Config(lineBytes int) cache.Config {
 // SharedL2 is the core's view of the shared cache, implemented by the cmp
 // system so the CPA can observe every access.
 type SharedL2 interface {
-	// Access performs a demand L2 access by `core` at core-cycle `now`
-	// and reports whether it hit plus, on a miss, the memory latency in
-	// cycles (the paper's constant 250 or the DRAM model's per-access
-	// value). Demand accesses are observed by the profiling logic.
-	Access(core int, addr uint64, write bool, now float64) (hit bool, memCycles uint64)
+	// Access performs a demand L2 access by `core` and reports whether it
+	// hit. Demand accesses are observed by the profiling logic.
+	Access(core int, addr uint64, write bool) (hit bool)
 	// Writeback delivers a dirty L1 victim line to the L2. Writebacks
 	// bypass the profiling logic (they are not program accesses).
 	Writeback(core int, addr uint64)
@@ -207,8 +205,8 @@ func (c *Core) private() bool {
 }
 
 // Shared runs the shared half of the event RunAhead stopped on: it
-// delivers the L1's dirty victim, performs the demand L2 access at the
-// core's clock and charges the stall.
+// delivers the L1's dirty victim, performs the demand L2 access and
+// charges the stall (Params.MemPenalty more on an L2 miss).
 func (c *Core) Shared() {
 	m := c.miss
 	if m.dirtyVictim {
@@ -218,11 +216,10 @@ func (c *Core) Shared() {
 		c.l2.Writeback(c.id, m.victim)
 	}
 	c.stats.L2Accesses++
-	hit, memCycles := c.l2.Access(c.id, m.addr, m.write, c.cycles)
 	penalty := c.params.L2HitPenalty
-	if !hit {
+	if !c.l2.Access(c.id, m.addr, m.write) {
 		c.stats.L2Misses++
-		penalty += memCycles
+		penalty += c.params.MemPenalty
 	}
 	if m.write {
 		// Stores retire through the store buffer: no pipeline stall,

@@ -10,19 +10,17 @@ import (
 // perfectL2 always hits.
 type perfectL2 struct{ accesses, writebacks uint64 }
 
-func (p *perfectL2) Access(core int, addr uint64, write bool, now float64) (bool, uint64) {
+func (p *perfectL2) Access(core int, addr uint64, write bool) bool {
 	p.accesses++
-	return true, 0
+	return true
 }
 func (p *perfectL2) Writeback(core int, addr uint64) { p.writebacks++ }
 
 // missL2 always misses.
 type missL2 struct{}
 
-func (missL2) Access(core int, addr uint64, write bool, now float64) (bool, uint64) {
-	return false, 250
-}
-func (missL2) Writeback(core int, addr uint64) {}
+func (missL2) Access(core int, addr uint64, write bool) bool { return false }
+func (missL2) Writeback(core int, addr uint64)               {}
 
 func computeProfile(baseIPC float64) trace.Profile {
 	return trace.Profile{

@@ -12,16 +12,15 @@ type l2Call struct {
 	Writeback bool
 	Addr      uint64
 	Write     bool
-	Now       float64
 }
 
 // recordingL2 logs every call and hits on a fixed half of the lines, so
 // two cores fed the same stream see the same outcomes.
 type recordingL2 struct{ calls []l2Call }
 
-func (r *recordingL2) Access(core int, addr uint64, write bool, now float64) (bool, uint64) {
-	r.calls = append(r.calls, l2Call{Addr: addr, Write: write, Now: now})
-	return (addr>>7)%2 == 0, 250
+func (r *recordingL2) Access(core int, addr uint64, write bool) bool {
+	r.calls = append(r.calls, l2Call{Addr: addr, Write: write})
+	return (addr>>7)%2 == 0
 }
 
 func (r *recordingL2) Writeback(core int, addr uint64) {
@@ -89,7 +88,7 @@ func TestRunAheadStops(t *testing.T) {
 			t.Fatalf("the private half reached the L2: %d calls, %+v", len(l2.calls), c.Stats())
 		}
 		clock := c.Cycles()
-		if c.Shared(); c.Cycles() <= clock || len(l2.calls) != 1 || l2.calls[0].Now != clock || c.Stats().L2Accesses != 1 {
+		if c.Shared(); c.Cycles() <= clock || len(l2.calls) != 1 || c.Stats().L2Accesses != 1 {
 			t.Fatalf("shared half: clock %v -> %v, calls %+v", clock, c.Cycles(), l2.calls)
 		}
 	})

@@ -181,7 +181,7 @@ func isoWorkload(bench string) workload.Workload {
 }
 
 // isoSpec is the isolation-baseline run for a benchmark: alone on a full
-// sizeKB LRU L2 (the weighted-speedup denominator; DESIGN.md §4.7).
+// sizeKB LRU L2 (the weighted-speedup denominator).
 func isoSpec(bench string, sizeKB int) RunSpec {
 	return RunSpec{W: isoWorkload(bench), Kind: plru.LRU, SizeKB: sizeKB}
 }

@@ -35,7 +35,7 @@ func Table2() string {
 	sb.WriteString(`CORE:      8-wide out-of-order (modeled by per-benchmark BaseIPC), 98-entry window
 Branch:    tournament (best of bimodal & gshare), BTB 1KB 4-way, min penalty 3 cycles
 L1 D:      32KB, 2-way, 128B lines, LRU, 11-cycle miss penalty
-L1 I:      64KB, 2-way (folded into BaseIPC; see DESIGN.md §5)
+L1 I:      64KB, 2-way (folded into BaseIPC)
 L2:        unified shared, 2MB, 16-way, 128B lines, 250-cycle miss penalty
 CPA:       MinMisses, 1M-cycle interval (scaled by harness options)
 `)

@@ -17,10 +17,7 @@ type Config struct {
 	SampleRate int       // 1-in-N set sampling; 1 = full ATD; paper uses 32
 	Kind       plru.Kind // LRU, NRU or BT profiling logic
 	NRUScale   float64   // S for the NRU estimator (paper: 1.0/0.75/0.5)
-	// CountColdHits is an ablation beyond the paper: record NRU hits on
-	// used==0 lines at the maximum distance A instead of dropping them.
-	CountColdHits bool
-	Seed          uint64
+	Seed       uint64
 }
 
 // Validate checks the monitor configuration.
@@ -176,10 +173,6 @@ func (m *Monitor) recordHit(set, way int) {
 				est = 1
 			}
 			m.sdh.RecordHit(est)
-		} else if m.cfg.CountColdHits {
-			// Distance in [U+1, A]; the paper assumes A and skips the
-			// update. This ablation records it.
-			m.sdh.RecordHit(m.cfg.Ways)
 		}
 	case *plru.BTPolicy:
 		m.sdh.RecordHit(p.EstStackPos(set, way))

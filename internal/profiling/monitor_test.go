@@ -195,23 +195,6 @@ func TestNRUMonitorCeilRounding(t *testing.T) {
 	}
 }
 
-func TestNRUCountColdHitsAblation(t *testing.T) {
-	cfg := monCfg(plru.NRU, 1, 4, 1)
-	cfg.CountColdHits = true
-	m := NewMonitor(cfg)
-	addrs := make([]uint64, 4)
-	for i := range addrs {
-		addrs[i] = addrForSet(0, i, 1, 64)
-	}
-	for _, a := range addrs {
-		m.Observe(a)
-	}
-	m.Observe(addrs[2]) // used==0 hit -> recorded at distance A=4
-	if m.SDH().Register(4) != 1 {
-		t.Fatalf("cold hit not recorded at r4: %d", m.SDH().Register(4))
-	}
-}
-
 func TestBTMonitorEstimates(t *testing.T) {
 	m := NewMonitor(monCfg(plru.BT, 1, 4, 1))
 	addrs := make([]uint64, 4)

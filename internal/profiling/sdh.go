@@ -8,7 +8,7 @@
 //     the set (including the accessed line) and S is a scaling factor
 //     (1.0, 0.75 or 0.5 in the paper). Hits on lines with used bit 0
 //     (distance somewhere in [U+1, A]) perform no SDH update, per the
-//     paper; the CountColdHits ablation records them at distance A.
+//     paper.
 //   - BT (§III-B): the estimate is A − (IDbits XOR pathBits) computed by
 //     the replacement package's BTPolicy.EstStackPos.
 //

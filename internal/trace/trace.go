@@ -1,6 +1,6 @@
 // Package trace generates the synthetic per-benchmark instruction and
 // memory-access streams that stand in for the paper's SPEC CPU 2000
-// SimPoint traces (see DESIGN.md §5 for the substitution rationale).
+// SimPoint traces (internal/workload says what each one stands in for).
 //
 // Each benchmark is described by a Profile: a base IPC (standing in for
 // width/window effects), a memory-access ratio, a branch ratio with a

@@ -3,8 +3,8 @@
 //
 // The paper evaluates SPEC CPU 2000 traces; those are proprietary, so each
 // benchmark name maps to a synthetic trace.Profile whose working-set
-// structure reproduces the published qualitative behavior of that program
-// (see DESIGN.md §5): mcf and art are cache-hungry with large footprints,
+// structure reproduces the published qualitative behavior of that program:
+// mcf and art are cache-hungry with large footprints,
 // swim/lucas/applu/mgrid stream, crafty/eon/gzip/sixtrack are compute
 // bound with small working sets, twolf/vpr/parser/bzip2 have mid-size
 // working sets whose miss curves bend inside a 16-way L2 — the population
