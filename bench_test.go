@@ -70,9 +70,8 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 // BenchmarkFig7Serial and BenchmarkFig7Parallel compare the experiment
-// engine at Parallelism 1 versus GOMAXPROCS on the same Fig7 sweep — the
-// pair behind BENCH_parallel.json. Output is bit-identical either way;
-// only wall-clock differs.
+// engine at Parallelism 1 versus GOMAXPROCS on the same Fig7 sweep.
+// Output is bit-identical either way; only wall-clock differs.
 func BenchmarkFig7Serial(b *testing.B) {
 	opt := benchOptions()
 	opt.Parallelism = 1

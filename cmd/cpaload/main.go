@@ -1,8 +1,7 @@
 // Command cpaload is a memtier-style load driver for cpacached: N
 // connections, pipelined GET/SET batches, configurable key space and
-// zipf skew, reporting req/s and latency percentiles. With -json it
-// emits the BENCH_cpacached.json baseline shape that `benchjson
-// -gate-server` checks in CI.
+// zipf skew, reporting req/s and latency percentiles. With -json it also
+// writes the run as a JSON report: command, host, workload and results.
 //
 // Usage:
 //
@@ -26,8 +25,7 @@ import (
 	"repro/internal/loadgen"
 )
 
-// report is the -json output document. results.req_per_sec is the
-// number the CI gate compares against the committed baseline.
+// report is the -json output document.
 type report struct {
 	Description string             `json:"description"`
 	Command     string             `json:"command"`
@@ -52,7 +50,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "RNG seed")
 		reconnect = flag.Bool("reconnect", false, "survive connection faults: reconnect with backoff and retry unacknowledged requests")
 		reqTO     = flag.Duration("request-timeout", 0, "per-batch I/O deadline; with -reconnect a timed-out batch is retried (0 = none)")
-		jsonOut   = flag.String("json", "", "write a benchmark-baseline JSON report to this file ('-' = stdout)")
+		jsonOut   = flag.String("json", "", "write a JSON report to this file ('-' = stdout)")
 	)
 	flag.Parse()
 

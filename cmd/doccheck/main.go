@@ -12,8 +12,8 @@
 //     as statements (optionally below a leading import block), which is
 //     how README-style snippets are written.
 //   - Repository paths in prose: in README.md and docs/*.md, every
-//     back-ticked path ending in .go or .md, or starting with internal/,
-//     pkg/, cmd/ or examples/, must exist. A bare file name (`ring.go`)
+//     back-ticked path ending in .go, .md or .json, or starting with
+//     internal/, pkg/, cmd/ or examples/, must exist. A bare file name (`ring.go`)
 //     must exist somewhere in the tree; a Go selector after a package
 //     path (`internal/cmp.System`) is dropped. CHANGES.md, ROADMAP.md and
 //     EXPERIMENTS.md are logs of past states and are not checked.
@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -146,7 +147,7 @@ func checkPathSpans(path, root string, baseNames map[string]bool, data []byte) [
 		}
 		for _, m := range pathSpanRe.FindAllStringSubmatch(line, -1) {
 			p := strings.TrimPrefix(m[1], "./")
-			isFile := strings.HasSuffix(p, ".go") || strings.HasSuffix(p, ".md")
+			isFile := slices.Contains([]string{".go", ".md", ".json"}, filepath.Ext(p))
 			if !isFile && !hasAnyPrefix(p, "internal/", "pkg/", "cmd/", "examples/") {
 				continue
 			}

@@ -63,8 +63,10 @@ func TestBacktickedPathMustExist(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/cmp/cmp.go": "package cmp\n",
 		"pkg/x/ring.go":       "package x\n",
+		"bench/BASELINE.json": "{}\n",
 		"README.md": "Uses `internal/cmp`, `internal/cmp.System.Run`, `./internal/cmp/cmp.go`,\n" +
 			"`ring.go`, `go test ./...` and `internal/dram`.\n\n" +
+			"Ledgers: `bench/BASELINE.json`, `BASELINE.json`, `BENCH_gone.json`, `-json` and `x.json`.\n\n" +
 			"```\ninternal/fenced is not prose `internal/fenced`\n```\n",
 		"docs/DESIGN.md":   "# design\n\nSee `policyref.go` and `docs/GONE.md`; `x.go y` is not a path.\n",
 		"docs/sub/deep.md": "`internal/deep` is below docs/ and not checked.\n",
@@ -73,6 +75,8 @@ func TestBacktickedPathMustExist(t *testing.T) {
 	})
 	wantProblems(t, root,
 		`README.md:2: no such repository path "internal/dram"`,
+		`README.md:4: no such repository path "BENCH_gone.json"`,
+		`README.md:4: no such repository path "x.json"`,
 		`DESIGN.md:3: no such repository path "policyref.go"`,
 		`DESIGN.md:3: no such repository path "docs/GONE.md"`)
 }

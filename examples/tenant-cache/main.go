@@ -35,10 +35,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -95,7 +98,9 @@ func main() {
 		if interval <= 0 {
 			log.Fatal("the demo needs the auto-rebalance ticker; pass -auto > 0")
 		}
-		runDemo(interval)
+		if err := runDemo(os.Stdout, interval); err != nil {
+			log.Fatal(err)
+		}
 	case *listen != "":
 		c, err := newCache(*auto, cpacache.MetricsSink{
 			Rebalance: func(e cpacache.RebalanceEvent) {
@@ -324,49 +329,51 @@ func drive(c *cpacache.Cache[string, string], rounds int) [tenants]float64 {
 	return rates
 }
 
-func printRates(rates [tenants]float64) {
+func printRates(w io.Writer, rates [tenants]float64) {
 	for t, wl := range demoWorkloads {
-		fmt.Printf("  %-18s %5d keys  hit rate %.3f\n", wl.name, wl.keys, rates[t])
+		fmt.Fprintf(w, "  %-18s %5d keys  hit rate %.3f\n", wl.name, wl.keys, rates[t])
 	}
 }
 
-func runDemo(interval time.Duration) {
+// runDemo drives the demo workload and writes its report to w. The sink
+// callbacks write from the ticker's goroutine.
+func runDemo(w io.Writer, interval time.Duration) error {
 	// The ticker does all repartitioning in this demo. The sink prints
 	// each applied decision.
 	c, err := newCache(interval, cpacache.MetricsSink{
 		Rebalance: func(e cpacache.RebalanceEvent) {
 			if e.Applied {
-				fmt.Printf("  [ticker] rebalanced %v -> %v (%d profiled accesses)\n",
+				fmt.Fprintf(w, "  [ticker] rebalanced %v -> %v (%d profiled accesses)\n",
 					e.Old, e.New, e.SampledAccesses)
 			}
 		},
 		PolicySwitch: func(e cpacache.PolicySwitchEvent) {
-			fmt.Printf("  [ticker] tenant %d policy %v -> %v (shadow-scored over %d accesses)\n",
+			fmt.Fprintf(w, "  [ticker] tenant %d policy %v -> %v (shadow-scored over %d accesses)\n",
 				e.Tenant, e.From, e.To, e.WindowAccesses)
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer c.Close()
 
-	fmt.Printf("capacity %d entries = %d shards x %d sets x %d ways; %d tenants\n\n",
+	fmt.Fprintf(w, "capacity %d entries = %d shards x %d sets x %d ways; %d tenants\n\n",
 		c.Capacity(), c.Shards(), c.Sets(), c.Ways(), tenants)
 
-	fmt.Println("== interval 1: even quotas", c.Quotas(), "==")
-	printRates(drive(c, 30))
+	fmt.Fprintln(w, "== interval 1: even quotas", c.Quotas(), "==")
+	printRates(w, drive(c, 30))
 
-	fmt.Println("\n== keep driving; the background ticker repartitions on its own ==")
+	fmt.Fprintln(w, "\n== keep driving; the background ticker repartitions on its own ==")
 	deadline := time.Now().Add(30 * time.Second)
 	for c.Snapshot().Rebalances == 0 && time.Now().Before(deadline) {
 		drive(c, 2)
 	}
 	if c.Snapshot().Rebalances == 0 {
-		log.Fatal("auto-rebalance never fired (is the ticker disabled?)")
+		return errors.New("auto-rebalance never fired (is the ticker disabled?)")
 	}
 
-	fmt.Println("\n== interval 2: ticker-chosen quotas", c.Quotas(), "==")
-	printRates(drive(c, 30))
+	fmt.Fprintln(w, "\n== interval 2: ticker-chosen quotas", c.Quotas(), "==")
+	printRates(w, drive(c, 30))
 
 	// Give the sweeper a beat to reclaim the logger's TTL'd entries that
 	// nothing will ever touch again.
@@ -375,18 +382,19 @@ func runDemo(interval time.Duration) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	snap := c.Snapshot()
-	fmt.Printf("\nlifecycle: %d auto/manual rebalances applied, %d held back by hysteresis,\n",
+	fmt.Fprintf(w, "\nlifecycle: %d auto/manual rebalances applied, %d held back by hysteresis,\n",
 		snap.Rebalances, snap.RebalancesSkipped)
 	var expir uint64
 	for _, ts := range snap.Tenants {
 		expir += ts.Expirations
 	}
-	fmt.Printf("%d TTL'd log entries reclaimed (%d by the background sweeper), %d bytes resident\n",
+	fmt.Fprintf(w, "%d TTL'd log entries reclaimed (%d by the background sweeper), %d bytes resident\n",
 		expir, snap.SweepExpired, snap.Tenants[0].Bytes+snap.Tenants[1].Bytes+snap.Tenants[2].Bytes)
-	fmt.Printf("per-tenant policies after %d shadow-scored switch(es): %v\n",
+	fmt.Fprintf(w, "per-tenant policies after %d shadow-scored switch(es): %v\n",
 		snap.PolicySwitches, snap.Policies)
-	fmt.Println("\nways moved toward the tenant whose miss curve said it could use")
-	fmt.Println("them — without any Rebalance call; the churner is walled off at one")
-	fmt.Println("way and loses nothing, because a never-repeating key stream cannot")
-	fmt.Println("hit no matter its share, and its TTL'd entries expire on their own.")
+	fmt.Fprintln(w, "\nways moved toward the tenant whose miss curve said it could use")
+	fmt.Fprintln(w, "them — without any Rebalance call; the churner is walled off at one")
+	fmt.Fprintln(w, "way and loses nothing, because a never-repeating key stream cannot")
+	fmt.Fprintln(w, "hit no matter its share, and its TTL'd entries expire on their own.")
+	return nil
 }

@@ -172,7 +172,7 @@ type System struct {
 	repartitions uint64
 
 	// OnRepartition, when non-nil, observes every repartition decision
-	// (used by the partition-explorer example and tests).
+	// (used by cpasim -partitions and tests).
 	OnRepartition func(cycle uint64, alloc cpapart.Allocation)
 }
 

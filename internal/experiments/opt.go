@@ -324,8 +324,8 @@ func (d *OptScoreboardData) Render() string {
 	return sb.String()
 }
 
-// CSV emits machine-readable scoreboard rows. The column set is the
-// contract `benchjson -opt-gate` diffs goldens against.
+// CSV emits machine-readable scoreboard rows. The root OPT_SCOREBOARD.csv
+// holds one, pinned byte for byte by TestGoldenFigureCSVs.
 func (d *OptScoreboardData) CSV() string {
 	var sb strings.Builder
 	sb.WriteString("cores,workload,size_kb,policy,hit_rate,opt_hit_rate,hit_rate_vs_opt,competitive_ratio\n")

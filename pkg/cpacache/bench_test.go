@@ -8,8 +8,8 @@ import (
 	"repro/pkg/plru"
 )
 
-// newBenchCache builds the geometry used by every cpacache benchmark (and
-// by the BENCH_cpacache.json baseline): 8 shards × 256 sets × 8 ways.
+// newBenchCache builds the geometry used by every cpacache benchmark:
+// 8 shards × 256 sets × 8 ways.
 func newBenchCache(b *testing.B, policy plru.Kind, tenants int) *Cache[uint64, uint64] {
 	b.Helper()
 	c, err := New[uint64, uint64](
@@ -55,8 +55,7 @@ func BenchmarkSetChurn(b *testing.B) {
 
 // BenchmarkParallelGetSet is the sharded concurrent hot path: every
 // goroutine mixes 90% lookups with 10% inserts over a working set about
-// 2× capacity, across 4 tenants. This is the number BENCH_cpacache.json
-// tracks for the per-op perf trajectory.
+// 2× capacity, across 4 tenants.
 func BenchmarkParallelGetSet(b *testing.B) {
 	c := newBenchCache(b, plru.BT, 4)
 	const keySpace = 32_768
@@ -151,8 +150,7 @@ func BenchmarkSetChurnAdaptive(b *testing.B) {
 
 // BenchmarkGetHitTTL is BenchmarkGetHit with every entry carrying a
 // deadline (WithDefaultTTL): the acceptance bar for the TTL data plane is
-// that this stays 0 allocs/op and within 10% of the TTL-less GetHit
-// baseline in BENCH_cpacache.json.
+// that this stays 0 allocs/op and within 10% of BenchmarkGetHit.
 func BenchmarkGetHitTTL(b *testing.B) {
 	c, err := New[uint64, uint64](
 		WithShards(8), WithSets(256), WithWays(8),
