@@ -17,6 +17,10 @@
 //     must exist somewhere in the tree; a Go selector after a package
 //     path (`internal/cmp.System`) is dropped. CHANGES.md, ROADMAP.md and
 //     EXPERIMENTS.md are logs of past states and are not checked.
+//   - Library API names in prose: in the same files, every back-ticked
+//     plru.X, cpapart.X or cpacache.X (optionally followed by .Y) must
+//     name a top-level declaration X of that pkg/ directory, and Y a
+//     method of X, read from its non-test Go files.
 //   - Markdown named in Go comments: every *.md a comment names must
 //     exist, next to the Go file or at the scanned root.
 //
@@ -28,9 +32,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/format"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -46,6 +52,10 @@ var codeSpanRe = regexp.MustCompile("`[^`]*`")
 
 // pathSpanRe matches a one-token code span, captured without the ticks.
 var pathSpanRe = regexp.MustCompile("`([^`\\s]+)`")
+
+// apiRe matches a qualified library name such as cpapart.WayCaps or
+// plru.Policy.Victim inside a code span.
+var apiRe = regexp.MustCompile(`\b(plru|cpapart|cpacache)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 
 // mdNameRe matches a Markdown file name in Go comment text.
 var mdNameRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
@@ -109,6 +119,12 @@ func checkTree(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	api := map[string]map[string]bool{}
+	for _, pkg := range []string{"plru", "cpapart", "cpacache"} {
+		if api[pkg], err = declaredNames(filepath.Join(root, "pkg", pkg)); err != nil {
+			return nil, err
+		}
+	}
 	var problems []string
 	for _, path := range mdFiles {
 		data, err := os.ReadFile(path)
@@ -118,7 +134,7 @@ func checkTree(root string) ([]string, error) {
 		problems = append(problems, checkLinks(path, absRoot, data)...)
 		problems = append(problems, checkGoBlocks(path, data)...)
 		if rel, _ := filepath.Rel(root, path); rel == "README.md" || filepath.Dir(rel) == "docs" {
-			problems = append(problems, checkPathSpans(path, root, baseNames, data)...)
+			problems = append(problems, checkPathSpans(path, root, baseNames, api, data)...)
 		}
 	}
 	for _, path := range goFiles {
@@ -131,10 +147,11 @@ func checkTree(root string) ([]string, error) {
 	return problems, nil
 }
 
-// checkPathSpans reports back-ticked repository paths that do not exist.
-// Paths resolve against the scanned root; a bare file name only has to
-// exist somewhere in the tree (baseNames).
-func checkPathSpans(path, root string, baseNames map[string]bool, data []byte) []string {
+// checkPathSpans reports back-ticked repository paths that do not exist
+// and back-ticked library names that api does not declare. Paths resolve
+// against the scanned root; a bare file name only has to exist somewhere
+// in the tree (baseNames).
+func checkPathSpans(path, root string, baseNames map[string]bool, api map[string]map[string]bool, data []byte) []string {
 	var problems []string
 	inFence := false
 	for lineNo, line := range strings.Split(string(data), "\n") {
@@ -144,6 +161,17 @@ func checkPathSpans(path, root string, baseNames map[string]bool, data []byte) [
 		}
 		if inFence {
 			continue
+		}
+		for _, span := range codeSpanRe.FindAllString(line, -1) {
+			for _, m := range apiRe.FindAllStringSubmatch(span, -1) {
+				name := m[2]
+				if m[3] != "" {
+					name += "." + m[3]
+				}
+				if !api[m[1]][m[2]] || !api[m[1]][name] {
+					problems = append(problems, fmt.Sprintf("%s:%d: pkg/%s declares no %s", path, lineNo+1, m[1], name))
+				}
+			}
 		}
 		for _, m := range pathSpanRe.FindAllStringSubmatch(line, -1) {
 			p := strings.TrimPrefix(m[1], "./")
@@ -170,6 +198,46 @@ func checkPathSpans(path, root string, baseNames map[string]bool, data []byte) [
 		}
 	}
 	return problems
+}
+
+// declaredNames reads the non-test Go files of dir and returns its
+// top-level declarations as "X" and its methods as "X.Y". A missing dir
+// declares nothing.
+func declaredNames(dir string) (map[string]bool, error) {
+	names := map[string]bool{}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					recv, _, _ := strings.Cut(strings.TrimLeft(types.ExprString(d.Recv.List[0].Type), "*"), "[")
+					name = recv + "." + name
+				}
+				names[name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names, nil
 }
 
 // checkGoComments reports *.md files named in a Go file's comments that

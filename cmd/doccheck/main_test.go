@@ -80,3 +80,24 @@ func TestBacktickedPathMustExist(t *testing.T) {
 		`DESIGN.md:3: no such repository path "policyref.go"`,
 		`DESIGN.md:3: no such repository path "docs/GONE.md"`)
 }
+
+func TestBacktickedAPINameMustBeDeclared(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"pkg/cpapart/cpapart.go": "package cpapart\n\ntype MinMisses struct{}\n\n" +
+			"func (MinMisses) Allocate() {}\n\nfunc WayCaps() {}\n\nconst Max = 1\n",
+		"pkg/cpapart/cpapart_test.go": "package cpapart\n\nfunc Greedy() {}\n",
+		"pkg/cpacache/cpacache.go": "package cpacache\n\ntype Cache[K comparable, V any] struct{}\n\n" +
+			"func (c *Cache[K, V]) Rebalance() {}\n",
+		"README.md": "`cpapart.MinMisses`, `cpapart.MinMisses.Allocate`, `cpapart.WayCaps(dst)`,\n" +
+			"`cpapart.Max`, `cpacache.Cache` and `cpacache.Cache.Rebalance`,\n" +
+			"`cpapart.Greedy`, `cpapart.MinMisses.Name` and `cpacache.New[K, V](cpacache.WithWays(8))`.\n\n" +
+			"`pkg/cpacache/cpacache.go`, plain cpapart.Fixed and\n```\ncpapart.Fixed\n```\n",
+		"docs/DESIGN.md": "Uses `plru.Policy` from a package that is not there.\n",
+	})
+	wantProblems(t, root,
+		"README.md:3: pkg/cpapart declares no Greedy",
+		"README.md:3: pkg/cpapart declares no MinMisses.Name",
+		"README.md:3: pkg/cpacache declares no New",
+		"README.md:3: pkg/cpacache declares no WithWays",
+		"DESIGN.md:1: pkg/plru declares no Policy")
+}

@@ -20,9 +20,9 @@
 //
 // Tenant quotas start as an even split and can be changed at any time with
 // SetQuotas, or rebalanced online from the observed per-tenant hit curves
-// with Rebalance, which runs the paper's partitioning algorithms (exact
-// MinMisses, or the binary-buddy variant under BT) from repro/pkg/cpapart
-// over stack-distance profiles sampled UMON-style on a subset of sets.
+// with Rebalance, which runs the paper's exact MinMisses allocator from
+// repro/pkg/cpapart over stack-distance profiles sampled UMON-style on a
+// subset of sets.
 //
 // All methods are safe for concurrent use and the per-operation hot
 // paths perform no heap allocation. Set probes resolve through a packed
@@ -928,12 +928,14 @@ func (c *Cache[K, V]) Stats() []TenantStats {
 }
 
 // SetQuotas installs per-tenant way quotas: quotas[t] ways for tenant t,
-// each at least 1, summing to Ways(). Under the BT policy quotas that are
-// all powers of two are laid out on aligned buddy blocks (realizable by
-// the paper's up/down force vectors); any other layout falls back to
-// contiguous masks, which every policy enforces through the Victim mask
-// walk. Lines already resident outside their tenant's new partition stay
-// readable (hits are global) and age out through replacement.
+// each at least 1, summing to Ways(). Each tenant gets a contiguous mask,
+// which every policy enforces through the Victim mask walk. The one
+// exception is BT with quotas that are all powers of two: those are laid
+// out on aligned buddy blocks, because an aligned block keeps BT's
+// log2(quota) protected ways where a contiguous mask of the same size can
+// keep none (pkg/plru's protect_test.go tabulates both). Lines already
+// resident outside their tenant's new partition stay readable (hits are
+// global) and age out through replacement.
 func (c *Cache[K, V]) SetQuotas(quotas []int) error {
 	c.quotaMu.Lock()
 	defer c.quotaMu.Unlock()
@@ -1041,14 +1043,13 @@ func (c *Cache[K, V]) missCurvesInto(curves [][]uint64, try bool) bool {
 // Rebalance recomputes the per-tenant quotas from the miss curves observed
 // since the previous Rebalance, installs them, resets the profile for the
 // next interval and returns the new quotas. It runs cpapart.MinMisses
-// (exact DP), or cpapart.BuddyMinMisses under BT so the result stays
-// realizable by force vectors — the paper's repartitioning step, with the
-// profile interval chosen by the caller's Rebalance cadence (or the
+// (exact DP) under every policy — the paper's repartitioning step, with
+// the profile interval chosen by the caller's Rebalance cadence (or the
 // WithAutoRebalance ticker's). When byte budgets are installed
 // (SetBudgets), they are first translated into per-tenant way caps
 // (cpapart.WayCaps, from each tenant's observed resident bytes per way)
-// and the capped allocators keep every tenant inside its budget. With a
-// single tenant Rebalance is a no-op that still resets the profile.
+// and the capped DP keeps every tenant inside its budget. With a single
+// tenant Rebalance is a no-op that still resets the profile.
 // Steady-state Rebalance reuses control-plane scratch held on the Cache;
 // the only per-call allocation is the returned quota slice.
 func (c *Cache[K, V]) Rebalance() ([]int, error) {
@@ -1088,15 +1089,9 @@ func (c *Cache[K, V]) rebalance(auto bool) ([]int, bool, error) {
 		samples += c.ctlCurves[t][0] // curve at 0 ways = every profiled access
 	}
 	caps := c.wayCapsLocked()
-	switch {
-	case c.tenants == 1:
+	if c.tenants == 1 {
 		c.ctlAlloc = append(c.ctlAlloc[:0], c.ways)
-	case c.policy == plru.BT:
-		if caps != nil {
-			caps = cpapart.RelaxBuddyCaps(caps, c.budgets, c.ways)
-		}
-		c.ctlAlloc = cpapart.BuddyMinMissesCappedInto(c.ctlAlloc, &c.ctlDP, c.ctlCurves, c.ways, caps)
-	default:
+	} else {
 		c.ctlAlloc = cpapart.MinMisses{}.AllocateCappedInto(c.ctlAlloc, &c.ctlDP, c.ctlCurves, c.ways, caps)
 	}
 

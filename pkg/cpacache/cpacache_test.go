@@ -2,9 +2,11 @@ package cpacache
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/pkg/cpapart"
 	"repro/pkg/plru"
 )
 
@@ -170,6 +172,33 @@ func TestSetQuotasValidation(t *testing.T) {
 	}
 }
 
+// TestSetQuotasBTPowersOfTwoUseBuddyBlocks pins the one non-contiguous
+// layout: under BT, all-power-of-two quotas sit on aligned buddy blocks.
+// For [1 4 2 1] on 8 ways tenant 1 gets [0,4), which keeps 2 protected
+// ways, where the contiguous [1,5) keeps none (pkg/plru's
+// TestBTProtectionUnderContiguousMasks). Other policies, and BT quotas
+// that are not all powers of two, stay contiguous.
+func TestSetQuotasBTPowersOfTwoUseBuddyBlocks(t *testing.T) {
+	span := func(lo, hi int) plru.WayMask { return plru.Full(hi) &^ plru.Full(lo) }
+	for _, tc := range []struct {
+		pol    plru.Kind
+		quotas []int
+		want   []plru.WayMask
+	}{
+		{plru.BT, []int{1, 4, 2, 1}, []plru.WayMask{span(6, 7), span(0, 4), span(4, 6), span(7, 8)}},
+		{plru.LRU, []int{1, 4, 2, 1}, []plru.WayMask{span(0, 1), span(1, 5), span(5, 7), span(7, 8)}},
+		{plru.BT, []int{1, 3, 3, 1}, []plru.WayMask{span(0, 1), span(1, 4), span(4, 7), span(7, 8)}},
+	} {
+		c := single(t, 8, 4, tc.pol)
+		if err := c.SetQuotas(tc.quotas); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.shards[0].masks; !slices.Equal(got, tc.want) {
+			t.Errorf("%v %v: masks %v, want %v", tc.pol, tc.quotas, got, tc.want)
+		}
+	}
+}
+
 func TestTenantOutOfRangePanics(t *testing.T) {
 	c := single(t, 4, 2, plru.LRU)
 	defer func() {
@@ -253,41 +282,33 @@ func TestRebalanceShiftsQuotas(t *testing.T) {
 	}
 }
 
-// TestRebalanceBTBuddy checks that under BT the rebalanced quotas stay
-// powers of two on buddy-aligned masks.
-func TestRebalanceBTBuddy(t *testing.T) {
-	c, err := New[string, int](
-		WithShards(1), WithSets(1), WithWays(16),
-		WithPolicy(plru.BT), WithPartitions(3), WithProfileSampling(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRebalanceBTMatchesMinMisses checks that Rebalance under BT runs the
+// same allocator as every other policy: a 12-key loop against a 1-key
+// loop gets exactly MinMisses' answer over the observed curves, not the
+// [8 8] that power-of-two shares would force on two tenants.
+func TestRebalanceBTMatchesMinMisses(t *testing.T) {
+	c := single(t, 16, 2, plru.BT)
 	for round := 0; round < 60; round++ {
-		for i := 0; i < 10; i++ {
-			c.GetTenant(0, fmt.Sprintf("a%d", i))
+		for i := 0; i < 12; i++ {
+			key := fmt.Sprintf("a%d", i)
+			if _, ok := c.GetTenant(0, key); !ok {
+				c.SetTenant(0, key, i)
+			}
 		}
-		for i := 0; i < 3; i++ {
-			c.GetTenant(1, fmt.Sprintf("b%d", i))
+		if _, ok := c.GetTenant(1, "b0"); !ok {
+			c.SetTenant(1, "b0", 0)
 		}
-		c.GetTenant(2, "c0")
 	}
+	want := cpapart.MinMisses{}.Allocate(c.MissCurves(), 16)
 	quotas, err := c.Rebalance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for tn, q := range quotas {
-		if q < 1 || q&(q-1) != 0 {
-			t.Fatalf("tenant %d quota %d not a power of two (quotas %v)", tn, q, quotas)
-		}
-		total += q
+	if !slices.Equal(quotas, want) {
+		t.Fatalf("Rebalance quotas = %v, want MinMisses %v", quotas, want)
 	}
-	if total != 16 {
-		t.Fatalf("quotas %v do not cover 16 ways", quotas)
-	}
-	if quotas[0] <= quotas[2] {
-		t.Fatalf("hungry tenant did not gain ways: %v", quotas)
+	if quotas[0] < 12 {
+		t.Fatalf("looping tenant got %d ways, its 12 keys need 12 (quotas %v)", quotas[0], quotas)
 	}
 }
 

@@ -572,10 +572,10 @@ func (c *Cache[K, V]) TTL(key K) (remaining time.Duration, hasTTL, present bool)
 // bytes: at each Rebalance (manual or auto) the budgets are translated
 // into per-tenant way caps from the tenant's observed bytes-per-way, and
 // the allocation never hands a tenant more ways than its budget
-// supports; a tenant over budget because its entries grew is pulled back
-// at the next rebalance. Under WithHardBudgets the budgets are
-// additionally enforced on the write path itself — see that option for
-// the evict-on-write semantics.
+// supports, whatever the policy; a tenant over budget because its entries
+// grew is pulled back at the next rebalance. Under WithHardBudgets the
+// budgets are additionally enforced on the write path itself — see that
+// option for the evict-on-write semantics.
 func (c *Cache[K, V]) SetBudgets(budgets []uint64) error {
 	if budgets == nil {
 		c.quotaMu.Lock()

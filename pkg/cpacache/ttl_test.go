@@ -611,15 +611,9 @@ func TestBudgetsCapRebalance(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Tenant 0's resident bytes-per-way ≈ 100; a 200-byte budget
-			// supports at most 2 ways. Under BT the buddy constraint
-			// relaxes the cap to the nearest feasible power of two (caps
-			// {2,8} cannot tile 8 ways), so 4 is the tightest it can hold.
-			maxWays := 2
-			if pol == plru.BT {
-				maxWays = 4
-			}
-			if quotas[0] > maxWays {
-				t.Fatalf("budgeted tenant got %d ways, budget supports %d (quotas %v)", quotas[0], maxWays, quotas)
+			// supports at most 2 ways.
+			if quotas[0] > 2 {
+				t.Fatalf("budgeted tenant got %d ways, budget supports 2 (quotas %v)", quotas[0], quotas)
 			}
 			if quotas[0]+quotas[1] != 8 {
 				t.Fatalf("quotas %v do not cover 8 ways", quotas)

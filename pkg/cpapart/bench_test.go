@@ -31,14 +31,6 @@ func BenchmarkMinMisses8Threads(b *testing.B) {
 	}
 }
 
-func BenchmarkLookahead8Threads(b *testing.B) {
-	curves := benchCurves(8, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Lookahead{}.Allocate(curves, 16)
-	}
-}
-
 func BenchmarkBuddyMinMisses8Threads(b *testing.B) {
 	curves := benchCurves(8, 16)
 	b.ReportAllocs()

@@ -3,14 +3,14 @@ package cpapart
 // Byte-budget support: a software cache partitions *ways*, but operators
 // reason in *bytes*. The translation layer here turns per-thread byte
 // budgets into per-thread way caps (WayCaps) and lets the MinMisses
-// dynamic programs respect those caps (AllocateCappedInto,
-// BuddyMinMissesCappedInto), so a partitioning decision driven by miss
-// curves can be constrained by memory budgets without giving up the
-// paper's way-granular enforcement. This is the cost/weight-aware
-// direction of AWRP-style replacement work, applied at the allocator
-// rather than per line: the replacement policy stays untouched (and
-// cheap), and the budget pressure is expressed where the paper's
-// machinery already makes global decisions — the way allocation.
+// dynamic program respect those caps (AllocateCappedInto), so a
+// partitioning decision driven by miss curves can be constrained by
+// memory budgets without giving up the paper's way-granular enforcement.
+// This is the cost/weight-aware direction of AWRP-style replacement work,
+// applied at the allocator rather than per line: the replacement policy
+// stays untouched (and cheap), and the budget pressure is expressed where
+// the paper's machinery already makes global decisions — the way
+// allocation.
 
 // WayCaps converts per-thread byte budgets into per-thread way caps for a
 // `ways`-way cache, writing into dst (reused when large enough).
@@ -26,7 +26,7 @@ package cpapart
 // sum below `ways`, the cap of the thread with the most unlimited budget
 // — unlimited first, then largest budget, ties to the lowest thread id —
 // is raised. The result therefore always satisfies cap[t] >= 1 and
-// sum(cap) >= ways, which is exactly what the capped allocators require.
+// sum(cap) >= ways, which is exactly what AllocateCappedInto requires.
 func WayCaps(dst []int, budgets []uint64, bytesPerWay []uint64, ways int) []int {
 	n := len(budgets)
 	if n == 0 {
@@ -95,12 +95,18 @@ func WayCaps(dst []int, budgets []uint64, bytesPerWay []uint64, ways int) []int 
 // otherwise, because an infeasible cap set is always a caller bug.
 func (MinMisses) AllocateCappedInto(dst Allocation, s *Scratch, curves [][]uint64, ways int, caps []int) Allocation {
 	checkInputs(curves, ways)
+	checkCaps(caps, len(curves), ways)
+	return minMisses(dst, s, curves, ways, caps, false)
+}
+
+// minMisses is the dynamic program behind AllocateCappedInto and
+// BuddyMinMissesInto: thread t receives between 1 and caps[t] ways (any
+// number with nil caps), restricted to powers of two when pow2 is set.
+func minMisses(dst Allocation, s *Scratch, curves [][]uint64, ways int, caps []int, pow2 bool) Allocation {
 	n := len(curves)
-	checkCaps(caps, n, ways)
 	const inf = ^uint64(0)
 
-	// f[t][w] = min total misses over threads [0,t) using exactly w ways,
-	// with thread i limited to caps[i] ways.
+	// f[t][w] = min total misses over threads [0,t) using exactly w ways.
 	f, choice := s.tables(n+1, ways+1)
 	for t := range f {
 		for w := range f[t] {
@@ -121,7 +127,7 @@ func (MinMisses) AllocateCappedInto(dst Allocation, s *Scratch, curves [][]uint6
 			}
 			for a := 1; a <= max; a++ {
 				prev := f[t-1][w-a]
-				if prev == inf {
+				if prev == inf || pow2 && a&(a-1) != 0 {
 					continue
 				}
 				cand := prev + curves[t-1][a]
@@ -143,116 +149,6 @@ func (MinMisses) AllocateCappedInto(dst Allocation, s *Scratch, curves [][]uint6
 		w -= a
 	}
 	return alloc
-}
-
-// BuddyMinMissesCappedInto is BuddyMinMissesInto with per-thread way caps:
-// thread t's power-of-two share may not exceed caps[t]. A nil caps behaves
-// exactly like BuddyMinMissesInto. Because shares are powers of two, a cap
-// of e.g. 5 limits the thread to 4 ways. The caps must admit a feasible
-// buddy cover; BuddyMinMissesCappedInto panics otherwise (WayCaps output
-// can be infeasible here when the power-of-two floors of the caps sum
-// below `ways` — callers relax caps with RelaxBuddyCaps first).
-func BuddyMinMissesCappedInto(dst Allocation, s *Scratch, curves [][]uint64, ways int, caps []int) Allocation {
-	checkInputs(curves, ways)
-	if ways&(ways-1) != 0 {
-		panic("cpapart: buddy allocation requires power-of-two ways")
-	}
-	n := len(curves)
-	checkCaps(caps, n, ways)
-	const inf = ^uint64(0)
-	f, choice := s.tables(n+1, ways+1)
-	for t := range f {
-		for w := range f[t] {
-			f[t][w] = inf
-			choice[t][w] = 0
-		}
-	}
-	f[0][0] = 0
-	for t := 1; t <= n; t++ {
-		hi := ways
-		if caps != nil && caps[t-1] < hi {
-			hi = caps[t-1]
-		}
-		for w := 0; w <= ways; w++ {
-			for sz := 1; sz <= w && sz <= hi; sz *= 2 {
-				prev := f[t-1][w-sz]
-				if prev == inf {
-					continue
-				}
-				cand := prev + curves[t-1][sz]
-				if cand < f[t][w] {
-					f[t][w] = cand
-					choice[t][w] = sz
-				}
-			}
-		}
-	}
-	if f[n][ways] == inf {
-		if caps == nil {
-			panic("cpapart: no buddy allocation exists (too many threads for ways?)")
-		}
-		panic("cpapart: way caps admit no buddy allocation")
-	}
-	alloc := growAlloc(dst, n)
-	w := ways
-	for t := n; t >= 1; t-- {
-		sz := choice[t][w]
-		alloc[t-1] = sz
-		w -= sz
-	}
-	return alloc
-}
-
-// RelaxBuddyCaps widens caps (in place) until a buddy cover of `ways`
-// exists: while no multiset of power-of-two shares sz[t] in [1, caps[t]]
-// sums exactly to `ways` (sum >= ways is not enough — caps {2, 8} cannot
-// tile 8), the cap of the thread with the most headroom to its budget —
-// largest budget first, ties to the lowest id — is doubled. budgets may
-// be nil (then ties alone order the relaxation). Returns caps for
-// convenience.
-func RelaxBuddyCaps(caps []int, budgets []uint64, ways int) []int {
-	pow2Floor := func(v int) int {
-		p := 1
-		for p*2 <= v {
-			p *= 2
-		}
-		return p
-	}
-	for !buddyCapsFeasible(caps, ways) {
-		best := -1
-		for t := range caps {
-			if pow2Floor(caps[t]) >= ways {
-				continue
-			}
-			if best < 0 || (budgets != nil && budgets[t] > budgets[best]) {
-				best = t
-			}
-		}
-		if best < 0 {
-			return caps // every thread already at ways: nothing to widen
-		}
-		caps[best] = pow2Floor(caps[best]) * 2
-	}
-	return caps
-}
-
-// buddyCapsFeasible reports whether power-of-two shares sz[t] in
-// [1, caps[t]] can sum exactly to ways. Subset-sum over a 65-bit
-// reachability set (sums 0..64), no allocation.
-func buddyCapsFeasible(caps []int, ways int) bool {
-	lo, hi := uint64(1), uint64(0) // bit s set iff sum s reachable
-	for _, c := range caps {
-		var nlo, nhi uint64
-		for sz := 1; sz <= c && sz <= ways; sz *= 2 {
-			nlo |= lo << uint(sz)
-			nhi |= hi<<uint(sz) | lo>>uint(64-sz)
-		}
-		lo, hi = nlo, nhi
-	}
-	if ways < 64 {
-		return lo&(1<<uint(ways)) != 0
-	}
-	return hi&1 != 0
 }
 
 // checkCaps validates a cap vector against the allocator preconditions.

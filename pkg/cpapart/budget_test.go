@@ -169,62 +169,6 @@ func TestAllocateCappedOptimalUnderCaps(t *testing.T) {
 	}
 }
 
-func TestBuddyCappedHonorsCaps(t *testing.T) {
-	ways := 16
-	curves := [][]uint64{
-		stepCurve(ways, 12, 1000, 10),
-		stepCurve(ways, 4, 500, 5),
-		flatCurve(ways, 300),
-	}
-	var s Scratch
-	uncapped := BuddyMinMissesCappedInto(nil, &s, curves, ways, nil)
-	if want := BuddyMinMisses(curves, ways); !reflect.DeepEqual(uncapped, want) {
-		t.Fatalf("nil caps diverges from BuddyMinMisses: %v vs %v", uncapped, want)
-	}
-	capped := BuddyMinMissesCappedInto(nil, &s, curves, ways, []int{7, 16, 16})
-	if capped[0] > 4 { // power-of-two floor of cap 7
-		t.Fatalf("buddy capped: thread 0 got %d ways, want <= 4", capped[0])
-	}
-	for _, sz := range capped {
-		if sz&(sz-1) != 0 {
-			t.Fatalf("buddy share %d not a power of two in %v", sz, capped)
-		}
-	}
-	if !Allocation(capped).Valid(ways) {
-		t.Fatalf("buddy capped allocation %v invalid", capped)
-	}
-}
-
-func TestRelaxBuddyCaps(t *testing.T) {
-	// pow2 floors are 2+2+2 = 6 < 8: relaxation must widen toward the
-	// largest budget until a buddy cover exists.
-	caps := []int{3, 3, 2}
-	budgets := []uint64{10, 100, 50}
-	got := RelaxBuddyCaps(caps, budgets, 8)
-	total := 0
-	for _, w := range got {
-		p := 1
-		for p*2 <= w {
-			p *= 2
-		}
-		total += p
-	}
-	if total < 8 {
-		t.Fatalf("RelaxBuddyCaps left infeasible caps %v", got)
-	}
-	if got[1] < got[0] || got[1] < got[2] {
-		t.Fatalf("relaxation should favor the largest budget: %v", got)
-	}
-	// And the buddy DP must now succeed under them.
-	ways := 8
-	curves := [][]uint64{flatCurve(ways, 1), flatCurve(ways, 1), flatCurve(ways, 1)}
-	var s Scratch
-	alloc := BuddyMinMissesCappedInto(nil, &s, curves, ways, got)
-	if !Allocation(alloc).Valid(ways) {
-		t.Fatalf("post-relaxation buddy allocation %v invalid", alloc)
-	}
-}
-
 func TestCappedPanicsOnBadCaps(t *testing.T) {
 	ways := 8
 	curves := [][]uint64{flatCurve(ways, 1), flatCurve(ways, 1)}

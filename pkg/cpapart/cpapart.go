@@ -8,13 +8,14 @@
 // The paper uses MinMisses [Qureshi & Patt, MICRO'06 / Moreto et al.]:
 // assign ways so the predicted total miss count is minimal, with at least
 // one way per thread. We implement it as an exact dynamic program (cheap
-// at N ≤ 8 threads, A = 16 ways) plus the classic Lookahead greedy for
-// comparison, a Fair (equal) splitter and a Static allocator.
+// at N ≤ 8 threads, A = 16 ways), with Fair (an equal split) as the
+// baseline. Masks enforce any allocation under every policy.
 //
-// For the BT enforcement, allocations must be realizable by per-level
-// up/down force vectors, which constrains each thread's share to a power
-// of two laid out on an aligned "buddy" block; BuddyMinMisses performs the
-// optimal rounding and BuddyLayout computes a concrete block placement.
+// The paper's own BT enforcement uses per-level up/down force vectors,
+// which can only express a power-of-two share on an aligned "buddy"
+// block; BuddyMinMisses performs the optimal rounding, BuddyLayout
+// computes a concrete block placement and ForceVectors the vectors. The
+// simulator's M-BT configuration uses them.
 package cpapart
 
 import (
@@ -68,15 +69,9 @@ func (a Allocation) Exceeds(caps []int) bool {
 	return false
 }
 
-// Algorithm selects an allocation from per-thread miss curves.
-// curves[i][w] is the predicted miss count of thread i when assigned w
-// ways (w in 0..ways); curves must be non-increasing in w.
-type Algorithm interface {
-	Name() string
-	Allocate(curves [][]uint64, ways int) Allocation
-}
-
-// checkInputs validates the common Allocate preconditions.
+// checkInputs validates the common Allocate preconditions: curves[i][w]
+// is the predicted miss count of thread i when assigned w ways (w in
+// 0..ways), non-increasing in w.
 func checkInputs(curves [][]uint64, ways int) {
 	n := len(curves)
 	if n == 0 {
@@ -104,9 +99,6 @@ func TotalMisses(curves [][]uint64, a Allocation) uint64 {
 // MinMisses is the exact dynamic-programming MinMisses policy.
 type MinMisses struct{}
 
-// Name returns "MinMisses".
-func (MinMisses) Name() string { return "MinMisses" }
-
 // Allocate returns an allocation minimizing the predicted total misses
 // with >= 1 way per thread. Ties are broken toward giving earlier threads
 // fewer ways, deterministically. Use AllocateInto with a Scratch to run
@@ -116,46 +108,8 @@ func (m MinMisses) Allocate(curves [][]uint64, ways int) Allocation {
 	return m.AllocateInto(nil, &s, curves, ways)
 }
 
-// Lookahead is the greedy marginal-utility allocator from Qureshi & Patt's
-// UCP: repeatedly grant the block of ways with the highest miss reduction
-// per way.
-type Lookahead struct{}
-
-// Name returns "Lookahead".
-func (Lookahead) Name() string { return "Lookahead" }
-
-// Allocate implements the lookahead greedy loop.
-func (Lookahead) Allocate(curves [][]uint64, ways int) Allocation {
-	checkInputs(curves, ways)
-	n := len(curves)
-	alloc := make(Allocation, n)
-	for i := range alloc {
-		alloc[i] = 1
-	}
-	balance := ways - n
-	for balance > 0 {
-		bestApp, bestK := 0, 1
-		bestRatio := -1.0
-		for i := 0; i < n; i++ {
-			for k := 1; k <= balance; k++ {
-				gain := float64(curves[i][alloc[i]]) - float64(curves[i][alloc[i]+k])
-				ratio := gain / float64(k)
-				if ratio > bestRatio {
-					bestRatio, bestApp, bestK = ratio, i, k
-				}
-			}
-		}
-		alloc[bestApp] += bestK
-		balance -= bestK
-	}
-	return alloc
-}
-
 // Fair splits ways as evenly as possible (remainder to lower thread ids).
 type Fair struct{}
-
-// Name returns "Fair".
-func (Fair) Name() string { return "Fair" }
 
 // Allocate ignores the curves and splits evenly.
 func (Fair) Allocate(curves [][]uint64, ways int) Allocation {
@@ -169,21 +123,6 @@ func (Fair) Allocate(curves [][]uint64, ways int) Allocation {
 		alloc[i]++
 	}
 	return alloc
-}
-
-// Static always returns a fixed allocation.
-type Static struct{ Fixed Allocation }
-
-// Name returns "Static".
-func (Static) Name() string { return "Static" }
-
-// Allocate returns a copy of the fixed allocation.
-func (s Static) Allocate(curves [][]uint64, ways int) Allocation {
-	checkInputs(curves, ways)
-	if !s.Fixed.Valid(ways) {
-		panic("cpapart: static allocation invalid for geometry")
-	}
-	return append(Allocation(nil), s.Fixed...)
 }
 
 // Masks converts an allocation into contiguous global replacement masks:

@@ -60,10 +60,14 @@ func (m MinMisses) AllocateInto(dst Allocation, s *Scratch, curves [][]uint64, w
 }
 
 // BuddyMinMissesInto is BuddyMinMisses with caller-owned result and
-// scratch storage, mirroring AllocateInto. It is the uncapped case of
-// BuddyMinMissesCappedInto (budget.go).
+// scratch storage, mirroring AllocateInto: the same dynamic program with
+// every share restricted to a power of two.
 func BuddyMinMissesInto(dst Allocation, s *Scratch, curves [][]uint64, ways int) Allocation {
-	return BuddyMinMissesCappedInto(dst, s, curves, ways, nil)
+	checkInputs(curves, ways)
+	if ways&(ways-1) != 0 {
+		panic("cpapart: buddy allocation requires power-of-two ways")
+	}
+	return minMisses(dst, s, curves, ways, nil, true)
 }
 
 // BuddyLayoutInto is BuddyLayout with caller-owned result and scratch

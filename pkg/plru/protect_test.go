@@ -128,3 +128,103 @@ func TestBTNonAlignedMaskEvictsMostRecent(t *testing.T) {
 		t.Fatalf("victim %d, want 4", v)
 	}
 }
+
+// btProtection explores every state a one-set BT of the given
+// associativity reaches from reset when any way may be touched next. A
+// state is the tree bits plus the recency order of mask's ways (touches
+// outside the mask move the tree but not that order). It returns the
+// exact number of mask's most recently touched ways that Victim never
+// returns from any reachable state, and how many states there are.
+func btProtection(t *testing.T, ways int, mask plru.WayMask) (protected, states int) {
+	t.Helper()
+	// An order packs way+1 per nibble, most recent in the low nibble.
+	touchOrder := func(order uint64, way int) uint64 {
+		out, shift := uint64(0), uint(4)
+		for o := order; o != 0; o >>= 4 {
+			if int(o&15) != way+1 {
+				out |= o & 15 << shift
+				shift += 4
+			}
+		}
+		return out | uint64(way+1)
+	}
+	type state struct{ tree, order uint64 }
+	p := plru.NewBTPolicy(1, ways)
+	seen := map[state]bool{{}: true}
+	queue := []state{{}}
+	protected = mask.Count()
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		p.SetTreeBits(0, s.tree)
+		v := p.Victim(0, 0, mask)
+		if !mask.Has(v) {
+			t.Fatalf("ways=%d mask=%v: victim %d outside the mask", ways, mask, v)
+		}
+		for rank, o := 0, s.order; o != 0; rank, o = rank+1, o>>4 {
+			if int(o&15) == v+1 {
+				protected = min(protected, rank)
+			}
+		}
+		for w := 0; w < ways; w++ {
+			p.SetTreeBits(0, s.tree)
+			p.Touch(0, w, 0)
+			next := state{p.TreeBits(0), s.order}
+			if mask.Has(w) {
+				next.order = touchOrder(s.order, w)
+			}
+			if !seen[next] {
+				seen[next] = true
+				queue = append(queue, next)
+			}
+		}
+	}
+	return protected, len(seen)
+}
+
+// TestBTProtectionUnderContiguousMasks computes, exhaustively, the
+// protection every contiguous mask [lo,hi) gives a tenant under BT at 4
+// and 8 ways. Aligned blocks keep exactly protectedWays; unaligned masks
+// keep less, and seven 8-way masks keep nothing at all. That is why
+// cpacache lays out all-power-of-two BT quotas on buddy blocks rather
+// than contiguously: for quotas [1 4 2 1] the contiguous [1,5) protects
+// 0 ways where the buddy block [0,4) protects 2.
+func TestBTProtectionUnderContiguousMasks(t *testing.T) {
+	unaligned := map[int]map[[2]int]int{
+		4: {{1, 3}: 0, {0, 3}: 1, {1, 4}: 1},
+		8: {
+			{1, 3}: 0, {3, 5}: 0, {5, 7}: 0, {2, 5}: 0, {3, 6}: 0, {1, 5}: 0, {3, 7}: 0,
+			{0, 3}: 1, {1, 4}: 1, {4, 7}: 1, {5, 8}: 1, {2, 6}: 1, {1, 7}: 1,
+			{0, 5}: 1, {1, 6}: 1, {2, 7}: 1, {3, 8}: 1,
+			{0, 6}: 2, {2, 8}: 2, {0, 7}: 2, {1, 8}: 2,
+		},
+	}
+	for _, ways := range []int{4, 8} {
+		checked := 0
+		for lo := 0; lo < ways; lo++ {
+			for hi := lo + 1; hi <= ways; hi++ {
+				mask := plru.Full(hi) &^ plru.Full(lo)
+				got, states := btProtection(t, ways, mask)
+				m := hi - lo
+				want, ok := unaligned[ways][[2]int{lo, hi}]
+				if m&(m-1) == 0 && lo%m == 0 {
+					want, ok = protectedWays(plru.BT, m), true
+				} else {
+					checked++
+				}
+				if !ok {
+					t.Fatalf("ways=%d [%d,%d): no pinned protection (got %d)", ways, lo, hi, got)
+				}
+				if got != want {
+					t.Errorf("ways=%d [%d,%d): protection %d, want %d (%d states)", ways, lo, hi, got, want, states)
+				}
+				if ways == 8 && m == 8 && states != 109601 {
+					t.Errorf("8-way full mask: %d reachable states, want 109601", states)
+				}
+			}
+		}
+		if checked != len(unaligned[ways]) {
+			t.Errorf("ways=%d: %d unaligned masks explored, %d pinned", ways, checked, len(unaligned[ways]))
+		}
+	}
+}
