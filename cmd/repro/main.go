@@ -108,7 +108,7 @@ func main() {
 
 	run := func(name string) {
 		start := time.Now()
-		simsBefore, instsBefore := h.Simulated(), h.SimulatedInsts()
+		simsBefore, instsBefore, tapesBefore := h.Simulated(), h.SimulatedInsts(), h.Tapes()
 		switch name {
 		case "table1":
 			fmt.Print(experiments.Table1())
@@ -171,6 +171,11 @@ func main() {
 		speed := ""
 		if minst := float64(h.SimulatedInsts()-instsBefore) / 1e6; minst > 0 {
 			speed = fmt.Sprintf(" %.1f Minst, %.1f Minst/s,", minst, minst/elapsed.Seconds())
+		}
+		if tapes := h.Tapes(); tapes.Produced > tapesBefore.Produced {
+			speed += fmt.Sprintf(" %.1f M events recorded, %.1f M replayed, %d KB peak tape,",
+				float64(tapes.Produced-tapesBefore.Produced)/1e6,
+				float64(tapes.Replayed-tapesBefore.Replayed)/1e6, tapes.PeakBytes>>10)
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v, %d simulations run,%s %d workers]\n",
 			name, elapsed.Round(time.Millisecond), h.Simulated()-simsBefore, speed, h.Parallelism())

@@ -173,7 +173,9 @@ type repartition struct {
 	Alloc cpapart.Allocation
 }
 
-func observe(t testing.TB, r oracleRun, run func(*System, context.Context) (Results, error)) observation {
+// observed builds r's system with hooks that record its demand accesses
+// and repartitions into the returned observation.
+func observed(t testing.TB, r oracleRun) (*System, *observation) {
 	t.Helper()
 	sys, err := New(r.config())
 	if err != nil {
@@ -182,7 +184,7 @@ func observe(t testing.TB, r oracleRun, run func(*System, context.Context) (Resu
 	for i, p := range r.profiles {
 		sys.cores[i] = cpu.New(i, p, uint64(i)+1, sys.cfg.L1, sys.cfg.Params, sys)
 	}
-	var o observation
+	o := &observation{}
 	sys.SetTracer(func(core int, addr uint64) {
 		o.Accesses = append(o.Accesses, tracedAccess{core, addr})
 	})
@@ -191,12 +193,12 @@ func observe(t testing.TB, r oracleRun, run func(*System, context.Context) (Resu
 			o.Reparts = append(o.Reparts, repartition{cycle, alloc})
 		}
 	}
-	// A live context: the poll must not perturb anything either.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if o.Results, err = run(sys, ctx); err != nil {
-		t.Fatalf("%v: %v", r, err)
-	}
+	return sys, o
+}
+
+// finish records where the cores, the L2 and the CPA stood when the run
+// ended.
+func (o *observation) finish(sys *System) {
 	for _, c := range sys.cores {
 		o.Cycles = append(o.Cycles, c.Cycles())
 		o.Cores = append(o.Cores, c.Stats())
@@ -205,7 +207,20 @@ func observe(t testing.TB, r oracleRun, run func(*System, context.Context) (Resu
 	if sys.CPA() != nil {
 		o.Alloc = sys.CPA().Allocation()
 	}
-	return o
+}
+
+func observe(t testing.TB, r oracleRun, run func(*System, context.Context) (Results, error)) observation {
+	t.Helper()
+	sys, o := observed(t, r)
+	// A live context: the poll must not perturb anything either.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var err error
+	if o.Results, err = run(sys, ctx); err != nil {
+		t.Fatalf("%v: %v", r, err)
+	}
+	o.finish(sys)
+	return *o
 }
 
 // checkAgainstOracle runs r under the scheduler and under referenceRun
@@ -215,10 +230,19 @@ func checkAgainstOracle(t testing.TB, r oracleRun) observation {
 	t.Helper()
 	want := observe(t, r, (*System).referenceRun)
 	got := observe(t, r, (*System).RunContext)
-	if reflect.DeepEqual(got, want) {
-		return got
+	if !matches(t, r, got, want) {
+		t.FailNow()
 	}
-	// Name the first thing that went wrong, earliest cause first.
+	return got
+}
+
+// matches reports whether got equals the oracle's want, and otherwise
+// names the first thing that went wrong, earliest cause first.
+func matches(t testing.TB, r oracleRun, got, want observation) bool {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return true
+	}
 	for i := range min(len(got.Accesses), len(want.Accesses)) {
 		if got.Accesses[i] != want.Accesses[i] {
 			t.Errorf("%v: demand access %d is %+v, oracle has %+v", r, i, got.Accesses[i], want.Accesses[i])
@@ -246,8 +270,56 @@ func checkAgainstOracle(t testing.TB, r oracleRun) observation {
 	if !reflect.DeepEqual(got.L2, want.L2) || !reflect.DeepEqual(got.Alloc, want.Alloc) {
 		t.Errorf("%v: shared state differs\n got %+v %v\nwant %+v %v", r, got.L2, got.Alloc, want.L2, want.Alloc)
 	}
-	t.FailNow()
-	return got
+	return false
+}
+
+// references runs each of runs alone under referenceRun.
+func references(t testing.TB, runs []oracleRun) []observation {
+	t.Helper()
+	wants := make([]observation, len(runs))
+	for i, r := range runs {
+		wants[i] = observe(t, r, (*System).referenceRun)
+	}
+	return wants
+}
+
+// checkGroupAgainstOracle runs runs, which share their cores, as one
+// RunGroup on workers goroutines and requires each system's observation
+// to equal its own reference in wants. A group shares one tape per core
+// and advances in lockstep, recycling tape chunks between horizons; the
+// horizon and the recycling bound only the group's memory, so taking
+// either out leaves every observation as it is.
+func checkGroupAgainstOracle(t testing.TB, runs []oracleRun, workers int, wants []observation) {
+	t.Helper()
+	systems := make([]*System, len(runs))
+	obs := make([]*observation, len(runs))
+	for i, r := range runs {
+		systems[i], obs[i] = observed(t, r)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, st, err := RunGroup(ctx, workers, systems...)
+	if err != nil {
+		t.Fatalf("%v: %v", runs[0], err)
+	}
+	ok := true
+	for i, r := range runs {
+		obs[i].Results = res[i]
+		obs[i].finish(systems[i])
+		ok = matches(t, r, *obs[i], wants[i]) && ok
+	}
+	if !ok {
+		t.FailNow()
+	}
+	var replayed uint64
+	for _, w := range wants {
+		for _, c := range w.Cores {
+			replayed += c.Branches + c.L1Accesses
+		}
+	}
+	if st.Replayed != replayed {
+		t.Fatalf("%v: %d events replayed for %d run", runs[0], st.Replayed, replayed)
+	}
 }
 
 // oracleBenchmarks mixes memory-bound, streaming, cache-friendly and
@@ -362,5 +434,103 @@ func TestSchedulerMatchesReferenceRunOnClockTies(t *testing.T) {
 			r.profiles = append(r.profiles, halfCycleProfile(rng))
 		}
 		checkAgainstOracle(t, r)
+	}
+}
+
+// TestGroupMatchesReferenceRun runs every oracleConfigs entry at two L2
+// sizes as one group, at 1, 2, 4 and 8 cores, on 1, 2 and 3 workers: each
+// system must end exactly where its own reference run does.
+func TestGroupMatchesReferenceRun(t *testing.T) {
+	for _, cores := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("%dcores", cores), func(t *testing.T) {
+			t.Parallel()
+			var runs []oracleRun
+			for _, oc := range oracleConfigs(t) {
+				for _, sizeKB := range []int{256, 64} {
+					runs = append(runs, oracleRun{
+						benchmarks: oracleBenchmarks[:cores], oc: oc, sizeKB: sizeKB,
+						maxInsts: uint64(20_000 / (1 + cores/2)), interval: 300, sampleRate: 4,
+					})
+				}
+			}
+			wants := references(t, runs)
+			for workers := 1; workers <= 3; workers++ {
+				checkGroupAgainstOracle(t, runs, workers, wants)
+			}
+		})
+	}
+}
+
+// TestGroupMatchesReferenceRunRandomized draws groups as
+// TestSchedulerMatchesReferenceRunRandomized draws runs: one workload and
+// budget per group, and per member a configuration, an L2 size, an
+// interval and a sampling rate.
+func TestGroupMatchesReferenceRunRandomized(t *testing.T) {
+	t.Parallel()
+	groups := 30
+	if testing.Short() {
+		groups = 3
+	}
+	rng := rand.New(rand.NewPCG(33, 2010))
+	configs := oracleConfigs(t)
+	names := workload.Names()
+	for range groups {
+		var benchmarks []string
+		for range 1 + rng.IntN(8) {
+			benchmarks = append(benchmarks, names[rng.IntN(len(names))])
+		}
+		maxInsts := uint64(500 + rng.IntN(25_000))
+		var runs []oracleRun
+		for range 2 + rng.IntN(5) {
+			runs = append(runs, oracleRun{
+				benchmarks: benchmarks,
+				oc:         configs[rng.IntN(len(configs))],
+				sizeKB:     64 << rng.IntN(5),
+				maxInsts:   maxInsts,
+				interval:   uint64(50 + rng.IntN(1<<(6+rng.IntN(11)))),
+				sampleRate: 1 << rng.IntN(4),
+			})
+		}
+		checkGroupAgainstOracle(t, runs, 1+rng.IntN(3), references(t, runs))
+	}
+}
+
+// TestGroupMatchesReferenceRunOnClockTies runs the half-cycle programs of
+// TestSchedulerMatchesReferenceRunOnClockTies in groups: every member
+// shares the group's programs and budget.
+func TestGroupMatchesReferenceRunOnClockTies(t *testing.T) {
+	t.Parallel()
+	groups := 30
+	if testing.Short() {
+		groups = 3
+	}
+	rng := rand.New(rand.NewPCG(8, 0x71e5))
+	var configs []oracleConfig
+	for _, oc := range oracleConfigs(t) {
+		switch oc.name {
+		case "none-LRU", "M-L", "C-L", "M-BT":
+			configs = append(configs, oc)
+		}
+	}
+	for range groups {
+		var benchmarks []string
+		var profiles []trace.Profile
+		for range 2 << rng.IntN(3) { // 2, 4 or 8 cores
+			benchmarks = append(benchmarks, "gzip")
+			profiles = append(profiles, halfCycleProfile(rng))
+		}
+		maxInsts := uint64(200 + rng.IntN(4_000))
+		var runs []oracleRun
+		for range 2 + rng.IntN(4) {
+			runs = append(runs, oracleRun{
+				benchmarks: benchmarks, profiles: profiles,
+				oc:         configs[rng.IntN(len(configs))],
+				sizeKB:     256,
+				maxInsts:   maxInsts,
+				interval:   uint64(100 + rng.IntN(3_000)),
+				sampleRate: 4,
+			})
+		}
+		checkGroupAgainstOracle(t, runs, 1+rng.IntN(3), references(t, runs))
 	}
 }

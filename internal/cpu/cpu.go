@@ -1,6 +1,8 @@
 // Package cpu models one core of the paper's CMP: an event-driven timing
 // model that consumes a synthetic trace, runs a private L1 data cache and
-// a branch predictor, and charges latency for L2 and memory accesses.
+// a branch predictor, and charges latency for L2 and memory accesses. The
+// trace, the L1 and the predictor form a Tape that several Cores — the
+// same core in different configurations — can replay.
 //
 // This is the simulator-substrate substitution for the paper's Turandot
 // out-of-order core: the 8-wide window is summarized by the benchmark's
@@ -10,7 +12,8 @@
 package cpu
 
 import (
-	"repro/internal/bpred"
+	"encoding/binary"
+
 	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/pkg/plru"
@@ -71,15 +74,18 @@ type Stats struct {
 	BTBMisses    uint64
 }
 
-// Core is one simulated core.
+// Core is one simulated core. It replays its Tape, which ran the
+// generator, the L1 and the predictor, and adds what the tape cannot
+// know: the clock and the counters, and the shared half of every L1 miss.
 type Core struct {
 	id     int
-	gen    *trace.Generator
+	tape   *Tape
 	prof   trace.Profile
 	params Params
-	l1     *cache.Cache
-	bp     *bpred.Predictor
 	l2     SharedL2
+
+	ch  *chunk // the chunk holding the next event
+	pos int    // the next event's offset in ch.buf
 
 	cycles float64
 	stats  Stats
@@ -94,18 +100,26 @@ type l1Miss struct {
 	dirtyVictim bool
 }
 
-// New builds a core running the given profile.
+// New builds a core running the given profile on a tape of its own.
 func New(id int, prof trace.Profile, seed uint64, l1cfg cache.Config, params Params, l2 SharedL2) *Core {
-	return &Core{
-		id:     id,
-		gen:    trace.NewGenerator(prof, id, seed, l1cfg.LineBytes),
-		prof:   prof,
-		params: params,
-		l1:     cache.New(l1cfg),
-		bp:     bpred.New(bpred.DefaultConfig()),
-		l2:     l2,
-	}
+	return NewCore(NewTape(id, prof, seed, l1cfg), params, l2)
 }
+
+// NewCore builds a core that replays t from its first event. A tape that
+// has recycled its first events has no room for another reader, and
+// NewCore panics.
+func NewCore(t *Tape, params Params, l2 SharedL2) *Core {
+	c := &Core{id: t.id, tape: t, prof: t.prof, params: params, l2: l2}
+	c.ch = t.attach(c)
+	return c
+}
+
+// Tape returns the tape the core replays.
+func (c *Core) Tape() *Tape { return c.tape }
+
+// Retire stops the core from holding back its tape's recycling. A retired
+// core must not run again.
+func (c *Core) Retire() { c.tape.detach(c) }
 
 // ID returns the core index.
 func (c *Core) ID() int { return c.id }
@@ -160,6 +174,13 @@ func (c *Core) Step() float64 {
 func (c *Core) RunAhead(before float64, crossAt uint64, maxEvents int) (start float64, events int, shared bool) {
 	for events < maxEvents && c.cycles < before {
 		start = c.cycles
+		if n, last := c.plain(before, crossAt, maxEvents-events); n > 0 {
+			events += n
+			if c.stats.Insts >= crossAt {
+				return last, events, false
+			}
+			continue
+		}
 		events++
 		if c.private() {
 			return start, events, true
@@ -171,34 +192,76 @@ func (c *Core) RunAhead(before float64, crossAt uint64, maxEvents int) (start fl
 	return c.cycles, events, false
 }
 
-// private runs the half of the next event that touches only this core:
-// the generator draw, the clock advance and the predictor or L1 access.
-// It reports whether the event missed the L1 and so has a shared half,
-// which it leaves in c.miss.
-func (c *Core) private() bool {
-	e := c.gen.Next()
-	c.stats.Insts += uint64(e.Insts)
-	c.cycles += float64(e.Insts) / c.prof.BaseIPC
+// plain replays, with the clock and the counters in registers, the run of
+// L1 hits and predicted branches (with short instruction counts) at the
+// head of the current chunk: up to max of them, and not beyond the first
+// that starts at or after before or takes the core to crossAt. Their
+// private halves are the same additions in the same order as private's.
+// It returns how many it replayed and the start clock of the last.
+func (c *Core) plain(before float64, crossAt uint64, max int) (n int, last float64) {
+	buf, i := c.ch.buf, c.pos
+	cycles, insts, ipc := c.cycles, c.stats.Insts, c.prof.BaseIPC
+	var branches uint64
+	for n < max && cycles < before && insts < crossAt && i < len(buf) {
+		b := buf[i]
+		short := uint64(b >> kindBits)
+		if b&^1&kindMask != evHit || short == 0 { // evHit or evBranch, short count
+			break
+		}
+		i++
+		n++
+		last = cycles
+		cycles += float64(short) / ipc
+		insts += short
+		branches += uint64(b & 1)
+	}
+	c.pos, c.cycles, c.stats.Insts = i, cycles, insts
+	c.stats.Branches += branches
+	c.stats.L1Accesses += uint64(n) - branches
+	return n, last
+}
 
-	switch e.Kind {
-	case trace.Branch:
+// private runs the half of the next event that touches only this core:
+// the tape's record of the generator draw and the predictor or L1 access,
+// and the clock advance. It reports whether the event missed the L1 and so
+// has a shared half, which it leaves in c.miss.
+func (c *Core) private() bool {
+	if c.pos == len(c.ch.buf) {
+		c.ch, c.pos = c.tape.next(c), 0
+	}
+	buf := c.ch.buf
+	b := buf[c.pos]
+	c.pos++
+	insts := uint32(b >> kindBits)
+	if insts == 0 {
+		insts = binary.LittleEndian.Uint32(buf[c.pos:])
+		c.pos += 4
+	}
+	c.stats.Insts += uint64(insts)
+	c.cycles += float64(insts) / c.prof.BaseIPC
+
+	switch k := b & kindMask; k {
+	case evHit:
+		c.stats.L1Accesses++ // L1 hits are pipelined away
+	case evBranch:
 		c.stats.Branches++
-		out := c.bp.Lookup(e.Addr, e.Taken)
-		if !out.DirectionCorrect {
-			c.stats.Mispredicts++
-			c.cycles += float64(c.params.MispredictPenalty)
-		} else if !out.BTBHit {
-			c.stats.BTBMisses++
-			c.cycles += float64(c.params.BTBMissPenalty)
-		}
-	case trace.Mem:
+	case evMispredict:
+		c.stats.Branches++
+		c.stats.Mispredicts++
+		c.cycles += float64(c.params.MispredictPenalty)
+	case evBTBMiss:
+		c.stats.Branches++
+		c.stats.BTBMisses++
+		c.cycles += float64(c.params.BTBMissPenalty)
+	default:
 		c.stats.L1Accesses++
-		r := c.l1.AccessRW(0, e.Addr, e.Write)
-		if r.Hit {
-			return false // L1 hits are pipelined away
-		}
 		c.stats.L1Misses++
-		c.miss = l1Miss{addr: e.Addr, write: e.Write, dirtyVictim: r.Writeback, victim: r.EvictedAddr}
+		c.miss = l1Miss{addr: binary.LittleEndian.Uint64(buf[c.pos:]), write: k&missWrite != 0, dirtyVictim: k&missDirty != 0}
+		c.pos += 8
+		if c.miss.dirtyVictim {
+			c.miss.victim = binary.LittleEndian.Uint64(buf[c.pos:])
+			c.pos += 8
+		}
 		return true
 	}
 	return false

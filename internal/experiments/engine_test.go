@@ -175,3 +175,33 @@ func TestCancellationStopsPool(t *testing.T) {
 		t.Fatalf("simulated %d of %d jobs despite cancellation", n, len(specs))
 	}
 }
+
+// TestFig7TapeFootprint runs the Figure 7 sweep the benchmark times (the
+// options of bench/repro.go) and pins what sharing tapes buys and costs:
+// each recorded private event is replayed at least five times, and the
+// tapes of a group never hold more than 1 MiB. A change that lets the
+// tapes grow past that would show in the benchmark's peak RSS first.
+func TestFig7TapeFootprint(t *testing.T) {
+	h := New(Options{
+		Insts:         120_000,
+		Interval:      40_000,
+		SampleRate:    16,
+		L2SizeKB:      1024,
+		WorkloadLimit: 3,
+	})
+	if _, err := h.Fig7(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Tapes()
+	t.Logf("%d simulations: %d events recorded, %d replayed (%.2fx), peak tape %d KB",
+		h.Simulated(), st.Produced, st.Replayed, float64(st.Replayed)/float64(st.Produced), st.PeakBytes>>10)
+	if h.Simulated() != 71 {
+		t.Errorf("ran %d simulations, want 71", h.Simulated())
+	}
+	if st.Replayed < 5*st.Produced {
+		t.Errorf("%d events replayed for %d recorded: under 5x", st.Replayed, st.Produced)
+	}
+	if st.PeakBytes > 1<<20 {
+		t.Errorf("a group held %d bytes of tape, over 1 MiB", st.PeakBytes)
+	}
+}

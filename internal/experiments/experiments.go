@@ -12,10 +12,12 @@
 // Simulations execute through a bounded worker pool (internal/
 // experiments/sched): each figure first gathers the full list of
 // simulations it needs, prefetches them concurrently, then assembles its
-// data serially from the memoized results. Because every simulation is
-// seeded from its own configuration and shares no state with its
-// siblings, the assembled figures are bit-identical at any Parallelism
-// setting, including 1.
+// data serially from the memoized results. The simulations of one
+// workload run as one group (cmp.RunGroup), which records each core's
+// private half once and replays it into every configuration. Because
+// every simulation is seeded from its own configuration and a group's
+// runs are each bit-identical to a run alone, the assembled figures are
+// bit-identical at any Parallelism setting, including 1.
 package experiments
 
 import (
@@ -79,6 +81,9 @@ type Harness struct {
 	optRuns   *sched.Cache[optref.Stats] // Belady replays, keyed per workload × size
 	simulated atomic.Int64               // completed simulations (cache misses only)
 	insts     atomic.Uint64              // instructions those simulations committed
+
+	tapeMu sync.Mutex
+	tapes  cmp.TapeStats // summed over groups, but PeakBytes is the largest group's
 }
 
 // New returns a harness for the options; zero fields take the
@@ -129,6 +134,23 @@ func (h *Harness) ran(res cmp.Results) {
 		insts += c.Insts
 	}
 	h.insts.Add(insts)
+}
+
+// Tapes reports the private work of the simulations run so far: the
+// trace events their tapes recorded and their cores replayed, and the
+// largest tape memory one group held.
+func (h *Harness) Tapes() cmp.TapeStats {
+	h.tapeMu.Lock()
+	defer h.tapeMu.Unlock()
+	return h.tapes
+}
+
+func (h *Harness) addTapes(st cmp.TapeStats) {
+	h.tapeMu.Lock()
+	defer h.tapeMu.Unlock()
+	h.tapes.Produced += st.Produced
+	h.tapes.Replayed += st.Replayed
+	h.tapes.PeakBytes = max(h.tapes.PeakBytes, st.PeakBytes)
 }
 
 // CachedRuns reports how many unique configurations are memoized.
@@ -194,51 +216,92 @@ func (h *Harness) Run(ctx context.Context, w workload.Workload, kind plru.Kind, 
 }
 
 func (h *Harness) run(ctx context.Context, sp RunSpec) (cmp.Results, error) {
-	key := sp.key()
-	return h.runs.Do(ctx, key, func(ctx context.Context) (cmp.Results, error) {
-		cfg := cmp.Config{
-			Workload: sp.W,
-			L2:       h.l2Config(sp.Kind, sp.W.Threads(), sp.SizeKB),
-			Params:   cpu.DefaultParams(),
-			L1:       cpu.DefaultL1Config(128),
-			MaxInsts: h.opt.Insts,
-		}
-		if sp.Acronym != "" {
-			cpaCfg, err := core.ParseAcronym(sp.Acronym)
+	res, err := h.runGroup(ctx, []RunSpec{sp})
+	if err != nil {
+		return cmp.Results{}, err
+	}
+	return res[0], nil
+}
+
+// runGroup returns the results of specs, which share one workload. The
+// ones nobody has memoized or is computing run as one cmp.RunGroup, on as
+// many worker slots as there are of them, up to the pool's size; the
+// others are waited for.
+func (h *Harness) runGroup(ctx context.Context, specs []RunSpec) ([]cmp.Results, error) {
+	keys := make([]string, len(specs))
+	byKey := make(map[string]RunSpec, len(specs))
+	for i, sp := range specs {
+		keys[i] = sp.key()
+		byKey[keys[i]] = sp
+	}
+	return h.runs.DoGroup(ctx, keys, func(ctx context.Context, keys []string, slots int) ([]cmp.Results, error) {
+		systems := make([]*cmp.System, len(keys))
+		for i, key := range keys {
+			sys, err := h.system(byKey[key])
 			if err != nil {
-				return cmp.Results{}, err
+				return nil, fmt.Errorf("experiments: %s: %w", key, err)
 			}
-			cpaCfg.Interval = h.opt.Interval
-			cpaCfg.SampleRate = h.opt.SampleRate
-			cfg.CPA = &cpaCfg
+			systems[i] = sys
 		}
-		sys, err := cmp.New(cfg)
+		res, st, err := cmp.RunGroup(ctx, slots, systems...)
 		if err != nil {
-			return cmp.Results{}, fmt.Errorf("experiments: %s: %w", key, err)
+			return nil, err
 		}
-		res, err := sys.RunContext(ctx)
-		if err != nil {
-			return cmp.Results{}, err
+		h.addTapes(st)
+		for i, r := range res {
+			h.ran(r)
+			h.progress("ran %-26s throughput=%.3f", keys[i], r.Throughput())
 		}
-		h.ran(res)
-		h.progress("ran %-26s throughput=%.3f", key, res.Throughput())
 		return res, nil
 	})
 }
 
+// system builds the simulation of a spec.
+func (h *Harness) system(sp RunSpec) (*cmp.System, error) {
+	cfg := cmp.Config{
+		Workload: sp.W,
+		L2:       h.l2Config(sp.Kind, sp.W.Threads(), sp.SizeKB),
+		Params:   cpu.DefaultParams(),
+		L1:       cpu.DefaultL1Config(128),
+		MaxInsts: h.opt.Insts,
+	}
+	if sp.Acronym != "" {
+		cpaCfg, err := core.ParseAcronym(sp.Acronym)
+		if err != nil {
+			return nil, err
+		}
+		cpaCfg.Interval = h.opt.Interval
+		cpaCfg.SampleRate = h.opt.SampleRate
+		cfg.CPA = &cpaCfg
+	}
+	return cmp.New(cfg)
+}
+
 // Prefetch pushes every spec through the worker pool, deduplicating
-// against each other and the run cache, and waits for all of them. It
-// cancels outstanding work and returns on the first error. Figures call
-// it before their serial assembly loops so the expensive simulations run
-// in parallel while the assembled output stays deterministic.
+// against each other and the run cache, and waits for all of them. The
+// specs of one workload run as one group. It cancels outstanding work and
+// returns on the first error. Figures call it before their serial
+// assembly loops so the expensive simulations run in parallel while the
+// assembled output stays deterministic.
 func (h *Harness) Prefetch(ctx context.Context, specs []RunSpec) error {
 	seen := make(map[string]bool, len(specs))
-	uniq := make([]RunSpec, 0, len(specs))
+	group := make(map[string]int) // workload name -> index in groups
+	var groups [][]RunSpec
+	total := 0
 	for _, sp := range specs {
-		if k := sp.key(); !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, sp)
+		k := sp.key()
+		if seen[k] {
+			continue
 		}
+		seen[k] = true
+		g, ok := group[sp.W.Name]
+		if !ok {
+			g = len(groups)
+			group[sp.W.Name] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], sp)
+		total++
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -248,11 +311,11 @@ func (h *Harness) Prefetch(ctx context.Context, specs []RunSpec) error {
 		firstErr error
 		done     int
 	)
-	for _, sp := range uniq {
+	for _, g := range groups {
 		wg.Add(1)
-		go func(sp RunSpec) {
+		go func(g []RunSpec) {
 			defer wg.Done()
-			_, err := h.run(ctx, sp)
+			_, err := h.runGroup(ctx, g)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -262,11 +325,13 @@ func (h *Harness) Prefetch(ctx context.Context, specs []RunSpec) error {
 				}
 				return
 			}
-			done++
-			if h.opt.OnJob != nil {
-				h.opt.OnJob(done, len(uniq))
+			for range g {
+				done++
+				if h.opt.OnJob != nil {
+					h.opt.OnJob(done, total)
+				}
 			}
-		}(sp)
+		}(g)
 	}
 	wg.Wait()
 	return firstErr

@@ -69,15 +69,16 @@ func (h *Harness) RunOPT(ctx context.Context, w workload.Workload, sizeKB int) (
 			line := addr >> lineShift
 			tr.Access(core, int(line%uint64(sets)), line)
 		})
-		res, err := sys.RunContext(ctx)
+		res, tapes, err := cmp.RunGroup(ctx, 1, sys)
 		if err != nil {
 			return optref.Stats{}, err
 		}
+		h.addTapes(tapes)
 		st, err := optref.Replay(optref.Config{Sets: sets, Ways: l2.Ways, Cores: w.Threads()}, tr)
 		if err != nil {
 			return optref.Stats{}, err
 		}
-		h.ran(res)
+		h.ran(res[0])
 		h.progress("ran %-26s OPT hit rate=%.4f (%d refs)", optKey(w, sizeKB), st.HitRate(), tr.Len())
 		return st, nil
 	})

@@ -14,13 +14,15 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 )
 
 // Pool bounds how many jobs execute simultaneously.
 type Pool struct {
-	sem chan struct{}
+	sem   chan struct{}
+	multi chan struct{} // held while one job gathers several slots
 }
 
 // NewPool returns a pool running at most n jobs at once; n <= 0 uses
@@ -29,7 +31,7 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{sem: make(chan struct{}, n)}
+	return &Pool{sem: make(chan struct{}, n), multi: make(chan struct{}, 1)}
 }
 
 // Size reports the worker-slot count.
@@ -56,6 +58,36 @@ func (p *Pool) acquire(ctx context.Context) error {
 }
 
 func (p *Pool) release() { <-p.sem }
+
+// acquireN blocks until n worker slots are held or ctx is done. Jobs that
+// need several slots gather them one at a time, and one such job at a
+// time: two of them holding part of the pool each could otherwise wait for
+// each other forever, while a single-slot job always finishes and gives
+// its slot back.
+func (p *Pool) acquireN(ctx context.Context, n int) error {
+	if n == 1 {
+		return p.acquire(ctx)
+	}
+	select {
+	case p.multi <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-p.multi }()
+	for i := range n {
+		if err := p.acquire(ctx); err != nil {
+			p.releaseN(i)
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *Pool) releaseN(n int) {
+	for range n {
+		p.release()
+	}
+}
 
 // Do runs fn on a worker slot, blocking until one frees up or ctx is
 // done. It returns ctx.Err() without running fn when canceled first.
@@ -172,6 +204,86 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 		close(e.done)
 		return e.val, nil
 	}
+}
+
+// DoGroup returns the values for keys, in order. The keys nobody has
+// cached or has in flight are computed in one flight: fn receives them,
+// in order, with the number of pool slots the flight holds — as many as
+// there are keys, up to the pool's size — and returns one value per key.
+// Every other key is waited on as Do waits on it; if its flight dies of
+// its leader's cancellation, it is computed alone by fn. A single-key Do
+// on a key of the flight waits on the flight. A computation error reaches
+// every key of the flight and, as with Do, none of them is cached.
+func (c *Cache[V]) DoGroup(ctx context.Context, keys []string, fn func(ctx context.Context, keys []string, slots int) ([]V, error)) ([]V, error) {
+	vals := make([]V, len(keys))
+	var (
+		mine    []int // indices of the keys this flight computes
+		entries []*entry[V]
+	)
+	c.mu.Lock()
+	for i, k := range keys {
+		if _, ok := c.entries[k]; ok {
+			continue
+		}
+		e := &entry[V]{done: make(chan struct{})}
+		c.entries[k] = e
+		mine = append(mine, i)
+		entries = append(entries, e)
+	}
+	c.mu.Unlock()
+
+	if len(mine) > 0 {
+		fail := func(err error) ([]V, error) {
+			for j, i := range mine {
+				c.fail(keys[i], entries[j], err)
+			}
+			return nil, err
+		}
+		slots := min(len(mine), c.pool.Size())
+		if err := c.pool.acquireN(ctx, slots); err != nil {
+			return fail(err)
+		}
+		flight := make([]string, len(mine))
+		for j, i := range mine {
+			flight[j] = keys[i]
+		}
+		vs, err := fn(ctx, flight, slots)
+		c.pool.releaseN(slots)
+		if err == nil && len(vs) != len(flight) {
+			err = fmt.Errorf("sched: %d values for %d keys", len(vs), len(flight))
+		}
+		if err != nil {
+			return fail(err)
+		}
+		for j, i := range mine {
+			entries[j].val = vs[j]
+			close(entries[j].done)
+			vals[i] = vs[j]
+		}
+	}
+
+	for i, k := range keys {
+		if len(mine) > 0 && mine[0] == i {
+			mine = mine[1:]
+			continue
+		}
+		v, err := c.Do(ctx, k, func(ctx context.Context) (V, error) {
+			vs, err := fn(ctx, []string{k}, 1)
+			if err == nil && len(vs) != 1 {
+				err = fmt.Errorf("sched: %d values for 1 key", len(vs))
+			}
+			if err != nil {
+				var zero V
+				return zero, err
+			}
+			return vs[0], nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline.
