@@ -20,7 +20,9 @@
 //   - Library API names in prose: in the same files, every back-ticked
 //     plru.X, cpapart.X or cpacache.X (optionally followed by .Y) must
 //     name a top-level declaration X of that pkg/ directory, and Y a
-//     method of X, read from its non-test Go files.
+//     method of X, read from its non-test Go files. A bare option name
+//     (`WithWays(8)`, not preceded by a dot) must be declared by
+//     pkg/cpacache, the only package whose options the docs name bare.
 //   - Markdown named in Go comments: every *.md a comment names must
 //     exist, next to the Go file or at the scanned root.
 //
@@ -56,6 +58,11 @@ var pathSpanRe = regexp.MustCompile("`([^`\\s]+)`")
 // apiRe matches a qualified library name such as cpapart.WayCaps or
 // plru.Policy.Victim inside a code span.
 var apiRe = regexp.MustCompile(`\b(plru|cpapart|cpacache)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
+
+// optionRe matches an unqualified cpacache option name such as WithWays
+// inside a code span (the span's opening backtick counts as the
+// preceding non-dot character); a qualified one is apiRe's.
+var optionRe = regexp.MustCompile(`[^.\w](With[A-Z]\w*)`)
 
 // mdNameRe matches a Markdown file name in Go comment text.
 var mdNameRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
@@ -170,6 +177,11 @@ func checkPathSpans(path, root string, baseNames map[string]bool, api map[string
 				}
 				if !api[m[1]][m[2]] || !api[m[1]][name] {
 					problems = append(problems, fmt.Sprintf("%s:%d: pkg/%s declares no %s", path, lineNo+1, m[1], name))
+				}
+			}
+			for _, m := range optionRe.FindAllStringSubmatch(span, -1) {
+				if !api["cpacache"][m[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: pkg/cpacache declares no %s", path, lineNo+1, m[1]))
 				}
 			}
 		}

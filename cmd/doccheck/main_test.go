@@ -101,3 +101,18 @@ func TestBacktickedAPINameMustBeDeclared(t *testing.T) {
 		"README.md:3: pkg/cpacache declares no WithWays",
 		"DESIGN.md:1: pkg/plru declares no Policy")
 }
+
+func TestBacktickedBareOptionMustBeDeclared(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"pkg/cpacache/options.go":      "package cpacache\n\nfunc WithWays(n int) {}\n\nfunc WithCost[K, V any]() {}\n",
+		"pkg/cpacache/options_test.go": "package cpacache\n\nfunc WithTestOnly() {}\n",
+		"README.md": "`WithWays`, `WithWays(8)`, `New(WithWays(8), WithCost[string, []byte](f))`,\n" +
+			"`WithGone`, `x.WithElsewhere`, `NotWithThis` and `WithTestOnly()`.\n\n" +
+			"Plain WithGone and\n```\nWithFenced()\n```\n",
+		"docs/DESIGN.md": "Set `WithTouchBuffer(64)`.\n",
+	})
+	wantProblems(t, root,
+		"README.md:2: pkg/cpacache declares no WithGone",
+		"README.md:2: pkg/cpacache declares no WithTestOnly",
+		"DESIGN.md:1: pkg/cpacache declares no WithTouchBuffer")
+}

@@ -255,8 +255,8 @@ var churnCounter int
 
 // driveBatch is the per-round scratch drive reuses: each tenant's traffic
 // goes through GetBatch, and only the keys that missed are re-inserted
-// with SetBatch — one shard lock per shard per batch instead of one per
-// key, which is how a high-throughput caller should feed cpacache.
+// with SetBatch. Both are per-key loops inside cpacache; batching here
+// just keeps the cache-aside pattern to two calls per round.
 var driveBatch struct {
 	keys, vals, missK, missV []string
 	oks                      []bool

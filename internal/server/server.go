@@ -7,7 +7,7 @@
 // in the connection's buffered writer and flush only when the parser
 // has no more buffered input to serve, so a burst of N commands pays
 // one syscall out instead of N. MGET and MSET funnel straight into the
-// cache's GetBatch/SetBatch, which take each shard lock once per batch.
+// cache's GetBatch/SetBatch, per-key loops over its single-key paths.
 //
 // Tenancy rides on the cache's way partitioning: each configured tenant
 // maps to a cpacache tenant id with an optional way quota and byte

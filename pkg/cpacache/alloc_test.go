@@ -8,6 +8,7 @@
 package cpacache
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -149,30 +150,59 @@ func TestParallelMixZeroAlloc(t *testing.T) {
 }
 
 // TestBatchSteadyStateZeroAlloc pins GetBatch/SetBatch at zero
-// allocations once the pooled scratch and eviction buffers have grown.
+// allocations once the eviction path has warmed up, on a pointer-free
+// cache and on the daemon's Cache[string, []byte] with its WithCost
+// measurement (the MGET/MSET path).
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
-	evictions := 0
-	c, err := New[uint64, uint64](
-		WithShards(8), WithSets(256), WithWays(8),
-		WithPolicy(plru.BT), WithPartitions(2),
-		WithOnEvict(func(k, v uint64) { evictions++ }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	geometry := []Option{WithShards(8), WithSets(256), WithWays(8), WithPolicy(plru.BT), WithPartitions(2)}
+	t.Run("uint64", func(t *testing.T) {
+		evictions := 0
+		c, err := New[uint64, uint64](append(geometry,
+			WithOnEvict(func(k, v uint64) { evictions++ }))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := make([]uint64, 40_000)
+		for i := range space {
+			space[i] = uint64(i)
+		}
+		batchZeroAlloc(t, c, space, space, &evictions)
+	})
+	t.Run("daemon", func(t *testing.T) {
+		evictions := 0
+		c, err := New[string, []byte](append(geometry,
+			WithCost(func(k string, v []byte) uint64 { return uint64(len(k) + len(v)) }),
+			WithOnEvict(func(k string, v []byte) { evictions++ }))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := make([]string, 40_000)
+		vals := make([][]byte, len(space))
+		for i := range space {
+			space[i] = "key:" + strconv.Itoa(i)
+			vals[i] = make([]byte, 64)
+		}
+		batchZeroAlloc(t, c, space, vals, &evictions)
+	})
+}
+
+// batchZeroAlloc cycles 64-key SetBatch/GetBatch pairs over the key
+// space (4x what the 8x256x8 cache holds) and requires the steady state
+// to allocate nothing while still evicting.
+func batchZeroAlloc[K comparable, V any](t *testing.T, c *Cache[K, V], space []K, spaceVals []V, evictions *int) {
 	const batch = 64
-	keys := make([]uint64, batch)
-	vals := make([]uint64, batch)
+	keys := make([]K, batch)
+	vals := make([]V, batch)
 	oks := make([]bool, batch)
-	k := uint64(0)
+	k := 0
 	fill := func() {
 		for i := range keys {
-			keys[i] = k % 40_000
-			vals[i] = keys[i]
+			keys[i] = space[k%len(space)]
+			vals[i] = spaceVals[k%len(space)]
 			k++
 		}
 	}
-	// Warm up: grow the pooled scratch and per-shard eviction buffers.
+	// Warm up: grow every pooled buffer the eviction path uses.
 	for i := 0; i < 2000; i++ {
 		fill()
 		c.SetBatch(i%2, keys, vals)
@@ -185,8 +215,8 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state batch ops allocate %v/call-pair, want 0", n)
 	}
-	if evictions == 0 {
-		t.Fatal("workload never evicted; the guard did not cover the OnEvict buffer path")
+	if *evictions == 0 {
+		t.Fatal("workload never evicted; the guard did not cover the OnEvict path")
 	}
 }
 
@@ -248,11 +278,12 @@ func TestSetChurnTTLCostZeroAlloc(t *testing.T) {
 func TestTouchRingDrainZeroAlloc(t *testing.T) {
 	c, err := New[uint64, uint64](
 		WithShards(1), WithSets(64), WithWays(8),
-		WithPolicy(plru.BT), WithTouchBuffer(64),
+		WithPolicy(plru.BT),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.resizeTouchRing(64)
 	const keys = 256
 	for k := uint64(0); k < keys; k++ {
 		c.Set(k, k)

@@ -1,6 +1,8 @@
 package cpacache
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -145,6 +147,91 @@ func TestAutoSelectConvergesOnScanResistantPolicy(t *testing.T) {
 	if adaptiveRate < best-0.01 {
 		t.Fatalf("adaptive final hit rate %.4f more than 1 point below best static %.4f (LRU %.4f, ARC %.4f)",
 			adaptiveRate, best, lruRate, arcRate)
+	}
+}
+
+// TestGetBatchFeedsPolicyScoring pins that MGET-style reads reach the
+// auto-selector exactly as per-key reads do: one read stream through
+// GetBatch and the same stream through a GetTenant loop on a twin cache
+// must leave identical shadow window counters on every shard and produce
+// identical PolicySwitch events at every rebalance. String keys keep
+// both caches on the locked read plane, the daemon's.
+func TestGetBatchFeedsPolicyScoring(t *testing.T) {
+	type twin struct {
+		c      *Cache[string, string]
+		events []PolicySwitchEvent
+	}
+	build := func(tw *twin) {
+		c, err := New[string, string](
+			WithShards(2), WithSets(32), WithWays(8), WithPartitions(1),
+			WithPolicy(plru.LRU), WithPolicyAutoSelect(), WithProfileSampling(1),
+			WithRebalanceHysteresis(0.05, 512), WithSeed(7),
+			WithMetricsSink(MetricsSink{PolicySwitch: func(ev PolicySwitchEvent) { tw.events = append(tw.events, ev) }}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.c = c
+	}
+	var batch, loop twin
+	build(&batch)
+	build(&loop)
+	loop.c.seed = batch.c.seed // same key placement (white box)
+
+	hot := make([]uint64, 256)
+	for i := range hot {
+		hot[i] = uint64(i)
+	}
+	rng := uint64(42)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	var scanCtr uint64
+	keys := make([]string, 32)
+	vals := make([]string, len(keys))
+	oks := make([]bool, len(keys))
+	for w := 0; w < 6; w++ {
+		for b := 0; b < 400; b++ {
+			for i := range keys {
+				keys[i] = strconv.FormatUint(scanKey(next, hot, &scanCtr), 10)
+			}
+			batch.c.GetBatch(0, keys, vals, oks)
+			for i, k := range keys {
+				if v, ok := loop.c.GetTenant(0, k); ok != oks[i] || v != vals[i] {
+					t.Fatalf("window %d: key %q batch (%q,%v) vs loop (%q,%v)", w, k, vals[i], oks[i], v, ok)
+				}
+			}
+			for i, k := range keys { // cache-aside fill of the misses
+				if !oks[i] {
+					batch.c.Set(k, k)
+					loop.c.Set(k, k)
+				}
+			}
+		}
+		for i := range batch.c.shards {
+			bs, ls := batch.c.shards[i].shadow, loop.c.shards[i].shadow
+			if bs.acc[0] == 0 {
+				t.Fatalf("window %d shard %d: GetBatch reads never reached the shadow scorer", w, i)
+			}
+			if !reflect.DeepEqual(bs.acc, ls.acc) || !reflect.DeepEqual(bs.hits, ls.hits) {
+				t.Fatalf("window %d shard %d: shadow counters batch acc %v hits %v vs loop acc %v hits %v",
+					w, i, bs.acc, bs.hits, ls.acc, ls.hits)
+			}
+		}
+		for _, tw := range []*twin{&batch, &loop} {
+			if _, err := tw.c.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(batch.events, loop.events) {
+			t.Fatalf("window %d: PolicySwitch events batch %+v vs loop %+v", w, batch.events, loop.events)
+		}
+	}
+	if len(batch.events) == 0 {
+		t.Fatal("the workload never switched a policy; the event comparison is vacuous")
 	}
 }
 

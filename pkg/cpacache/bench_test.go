@@ -196,8 +196,8 @@ func BenchmarkSetChurnTTLCost(b *testing.B) {
 // directly against BenchmarkGetHit / BenchmarkSetChurn.
 const batchSize = 64
 
-// BenchmarkGetBatch measures the per-key cost of warm batched lookups:
-// one shard lock per shard per 64-key batch instead of one per key.
+// BenchmarkGetBatch measures the per-key cost of warm batched lookups,
+// the GetTenant loop plus the batch call's own overhead.
 func BenchmarkGetBatch(b *testing.B) {
 	c := newBenchCache(b, plru.BT, 1)
 	const keys = 1024

@@ -90,7 +90,7 @@ func TestSeqlockTornReadStress(t *testing.T) {
 
 // TestSeqlockFallbacks pins the conditions that must route a lookup to
 // the locked path: pointerful key or value types never set lockFree, and
-// WithImmediateRecency disables the whole deferred plane.
+// neither does a race build.
 func TestSeqlockFallbacks(t *testing.T) {
 	ptr, err := New[string, int]()
 	if err != nil {
@@ -98,9 +98,6 @@ func TestSeqlockFallbacks(t *testing.T) {
 	}
 	if ptr.lockFree {
 		t.Fatal("string-keyed cache enabled the lock-free read path")
-	}
-	if !ptr.deferred {
-		t.Fatal("pointerful cache should still defer recency by default")
 	}
 	type flat struct{ A, B uint64 }
 	flatC, err := New[flat, [3]int32]()
@@ -110,53 +107,57 @@ func TestSeqlockFallbacks(t *testing.T) {
 	if flatC.lockFree != !raceEnabled {
 		t.Fatalf("pointer-free struct cache lockFree = %v, want %v", flatC.lockFree, !raceEnabled)
 	}
-	imm, err := New[uint64, uint64](WithImmediateRecency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imm.lockFree || imm.deferred {
-		t.Fatal("WithImmediateRecency left the optimistic plane enabled")
-	}
-	if imm.shards[0].touchRing != nil {
-		t.Fatal("immediate-recency cache allocated a touch ring")
-	}
 }
 
-// TestTouchBufferValidation pins the WithTouchBuffer contract.
-func TestTouchBufferValidation(t *testing.T) {
-	for _, bad := range []int{-1, 0, 3, 48} {
-		if _, err := New[int, int](WithTouchBuffer(bad)); err == nil {
-			t.Errorf("WithTouchBuffer(%d) accepted", bad)
-		}
-	}
-	c, err := New[int, int](WithTouchBuffer(8))
+// TestTouchRingOnlyOnLockFreePlane pins that a shard carries a touch ring
+// exactly when the lock-free read path, the ring's only producer, is on:
+// the daemon's Cache[string, []byte] has neither, and a pointer-free
+// cache has both outside race builds.
+func TestTouchRingOnlyOnLockFreePlane(t *testing.T) {
+	daemon, err := New[string, []byte](WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.shards[0].touchRing); got != 8 {
-		t.Fatalf("ring size %d, want 8", got)
+	flat, err := New[uint64, uint64](WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if daemon.lockFree {
+		t.Fatal("Cache[string, []byte] enabled the lock-free read path")
+	}
+	if flat.lockFree != !raceEnabled {
+		t.Fatalf("Cache[uint64, uint64] lockFree = %v, want %v", flat.lockFree, !raceEnabled)
+	}
+	for i := range daemon.shards {
+		if daemon.shards[i].touchRing != nil {
+			t.Fatalf("Cache[string, []byte] shard %d allocated a touch ring nothing writes", i)
+		}
+		if got, want := flat.shards[i].touchRing != nil, flat.lockFree; got != want {
+			t.Fatalf("Cache[uint64, uint64] shard %d has ring %v, lock-free plane %v", i, got, want)
+		}
 	}
 }
 
 // TestDeferredMatchesImmediateExactly pins the drain-order property the
 // deferred plane is built on: in a single-threaded execution whose touch
 // ring never overflows, the deferred configuration produces bit-for-bit
-// the same eviction stream, stats and contents as WithImmediateRecency.
+// the same eviction stream, stats and contents as the fully locked plane.
 func TestDeferredMatchesImmediateExactly(t *testing.T) {
-	run := func(opts ...Option) (*Cache[uint64, uint64], *[]uint64) {
+	run := func(locked bool) (*Cache[uint64, uint64], *[]uint64) {
 		var evicted []uint64
-		c, err := New[uint64, uint64](append([]Option{
+		c, err := New[uint64, uint64](
 			WithShards(2), WithSets(8), WithWays(8),
 			WithPolicy(plru.LRU), WithPartitions(2), WithSeed(42),
 			WithOnEvict(func(k, v uint64) { evicted = append(evicted, k) }),
-		}, opts...)...)
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		applyMode(c, locked)
 		return c, &evicted
 	}
-	def, defEv := run()
-	imm, immEv := run(WithImmediateRecency())
+	def, defEv := run(false)
+	imm, immEv := run(true)
 	imm.seed = def.seed // identical placement (white box)
 
 	rng := uint64(12345)
@@ -209,14 +210,15 @@ func TestDeferredMatchesImmediateExactly(t *testing.T) {
 func TestDeferredDivergenceBounded(t *testing.T) {
 	for _, pol := range []plru.Kind{plru.BT, plru.LRU, plru.NRU} {
 		t.Run(pol.String(), func(t *testing.T) {
-			run := func(opts ...Option) uint64 {
-				c, err := New[uint64, uint64](append([]Option{
+			run := func(setPlane func(*Cache[uint64, uint64])) uint64 {
+				c, err := New[uint64, uint64](
 					WithShards(1), WithSets(16), WithWays(8),
 					WithPolicy(pol), WithSeed(9),
-				}, opts...)...)
+				)
 				if err != nil {
 					t.Fatal(err)
 				}
+				setPlane(c)
 				rng := uint64(777)
 				next := func() uint64 {
 					rng ^= rng << 13
@@ -240,8 +242,8 @@ func TestDeferredDivergenceBounded(t *testing.T) {
 				st := c.Stats()
 				return st[0].Hits
 			}
-			lossy := run(WithTouchBuffer(8))
-			exact := run(WithImmediateRecency())
+			lossy := run(func(c *Cache[uint64, uint64]) { c.resizeTouchRing(8) })
+			exact := run((*Cache[uint64, uint64]).useLockedPlane)
 			lo, hi := lossy, exact
 			if lo > hi {
 				lo, hi = hi, lo
@@ -265,11 +267,11 @@ func FuzzTouchRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := New[uint64, uint64](
 			WithShards(1), WithSets(8), WithWays(4), WithPolicy(plru.LRU),
-			WithTouchBuffer(8),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.resizeTouchRing(8)
 		sh := &c.shards[0]
 		pushed, drained := 0, 0
 		for i := 0; i < len(data); i++ {

@@ -34,13 +34,13 @@
 // deferred through a lossy per-shard touch ring that writers drain —
 // pseudo-LRU state tolerates late and dropped touches, which is the
 // paper's premise — and hit/miss counters are striped per shard
-// (lockfree.go, ring.go). Writers take exactly one shard mutex. GetBatch
-// and SetBatch amortize per-key overheads, TTL expiry is driven by a
-// hierarchical timing wheel that visits only due entries (lifecycle.go),
-// and Rebalance reuses control-plane scratch so steady-state
-// repartitioning stays allocation-free. WithImmediateRecency restores
-// the fully locked, touch-on-hit data plane when exact eviction-order
-// reproducibility matters more than read scalability.
+// (lockfree.go, ring.go); every other cache, and every race build,
+// takes the shard mutex and touches on hit. Writers take exactly one
+// shard mutex. GetBatch and SetBatch are per-key loops over GetTenant
+// and SetTenant, TTL expiry is driven by a hierarchical timing wheel
+// that visits only due entries (lifecycle.go), and Rebalance reuses
+// control-plane scratch so steady-state repartitioning stays
+// allocation-free.
 package cpacache
 
 import (
@@ -73,15 +73,13 @@ type Cache[K comparable, V any] struct {
 	tagWords  int    // packed tag words per set
 	setStride int    // words per set in shard.tags: 1 sequence word + tagWords
 
-	// deferred is false only under WithImmediateRecency: hits then call
-	// Touch under the shard lock instead of queueing on the touch ring.
-	// lockFree additionally requires pointer-free K and V and a non-race
-	// build; it routes unprofiled lookups through the seqlock path.
-	deferred bool
+	// lockFree requires pointer-free K and V and a non-race build; it
+	// routes unprofiled lookups through the seqlock path and is the only
+	// configuration that allocates touch rings.
 	lockFree bool
 
-	// batchPool recycles the per-call scratch of GetBatch/SetBatch so
-	// steady-state batches do not allocate.
+	// batchPool recycles the callback buffers of budget enforcement
+	// (batch.go) so steady-state enforcing writes do not allocate.
 	batchPool sync.Pool
 
 	// TTL state (lifecycle.go). The TTL clock is either the user's WithNow
@@ -208,8 +206,8 @@ type shard[K comparable, V any] struct {
 
 	// Deferred recency (ring.go): touchRing/touchHead are the lock-free
 	// producer side (slot words are plain — see ring.go for why that is
-	// safe). touchRing is nil under WithImmediateRecency; touchHead sits
-	// at the end of the struct.
+	// safe). touchRing is nil unless the cache is lockFree; touchHead
+	// sits at the end of the struct.
 	touchRing []uint64
 	touchMask uint64
 
@@ -360,7 +358,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		waysMask:      uint64(plru.Full(s.ways)),
 		tagWords:      tagWordsFor(s.ways),
 		setStride:     setStrideFor(s.ways),
-		deferred:      !s.immediate,
 		quotas:        evenQuotas(s.tenants, s.ways),
 		ttlDefault:    int64(s.defaultTTL),
 		stop:          make(chan struct{}),
@@ -396,7 +393,7 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 	// the sequence check for validation; that is only crash- and GC-safe
 	// when neither type contains pointers (see lockfree.go). Race builds
 	// keep the locked path so the detector never sees the benign races.
-	c.lockFree = c.deferred && !raceEnabled &&
+	c.lockFree = !raceEnabled &&
 		pointerFree(reflect.TypeFor[K]()) && pointerFree(reflect.TypeFor[V]())
 	if s.nowFn != nil {
 		c.nowFn = s.nowFn
@@ -443,9 +440,11 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		sh.masks = make([]plru.WayMask, s.tenants)
 		sh.stats = make([]TenantStats, s.tenants)
 		sh.hm = make([]hmCell, s.tenants)
-		if c.deferred {
-			sh.touchRing = make([]uint64, s.touchBuffer)
-			sh.touchMask = uint64(s.touchBuffer - 1)
+		if c.lockFree {
+			// Only getNoLock produces ring records; every other cache
+			// would carry a ring that nothing writes.
+			sh.touchRing = make([]uint64, touchRingSize)
+			sh.touchMask = touchRingSize - 1
 		}
 		// One TTL word per set is always present (the hot path tests it
 		// unconditionally); the sets×ways deadline array and the timing
@@ -551,8 +550,8 @@ func (c *Cache[K, V]) Set(key K, value V) error { return c.SetTenant(0, key, val
 // validated by the set's sequence word and the recency update is
 // deferred through the shard's touch ring (drained by the next writer).
 // Lookups that land on a profiled set, race a writer past the retry
-// budget, or find a lapsed TTL fall back to the shard mutex; under
-// WithImmediateRecency every lookup takes it.
+// budget, or find a lapsed TTL fall back to the shard mutex; for
+// pointerful K or V, and in race builds, every lookup takes it.
 func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 	c.checkTenant(tenant)
 	h := maphash.Comparable(c.seed, key)

@@ -356,15 +356,22 @@ func randomQuotas(rng *uint64, tenants, ways int) []int {
 // recencyModes parametrizes differential runs over both data planes: the
 // default deferred/optimistic one (whose drain-order rule makes single-
 // threaded executions exactly equivalent as long as the touch ring never
-// overflows — the model is the proof) and the fully locked
-// WithImmediateRecency configuration, which is the issue's
-// "immediate-drain" eviction-stream-equivalence requirement.
+// overflows — the model is the proof) and the fully locked plane that
+// pointerful types get, switched on here through useLockedPlane, which
+// pins eviction-stream equivalence under immediate touches.
 var recencyModes = []struct {
-	name string
-	opts []Option
+	name   string
+	locked bool
 }{
-	{"deferred", nil},
-	{"immediate", []Option{WithImmediateRecency()}},
+	{"deferred", false},
+	{"immediate", true},
+}
+
+// applyMode puts a freshly built cache on the mode's data plane.
+func applyMode[K comparable, V any](c *Cache[K, V], locked bool) {
+	if locked {
+		c.useLockedPlane()
+	}
 }
 
 // TestDifferentialAgainstLinearModel drives identical random workloads
@@ -391,15 +398,16 @@ func TestDifferentialAgainstLinearModel(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%v/%dx%dx%d", mode.name, pol, g.shards, g.sets, g.ways), func(t *testing.T) {
 					var evicted []uint64
-					c, err := New[uint64, uint64](append([]Option{
+					c, err := New[uint64, uint64](
 						WithShards(g.shards), WithSets(g.sets), WithWays(g.ways),
 						WithPolicy(pol), WithPartitions(g.tenants), WithSeed(polSeed),
 						WithProfileSampling(2),
 						WithOnEvict(func(k, v uint64) { evicted = append(evicted, k) }),
-					}, mode.opts...)...)
+					)
 					if err != nil {
 						t.Fatal(err)
 					}
+					applyMode(c, mode.locked)
 					m := newRefModel(c, pol, polSeed)
 
 					rng := uint64(g.shards*1000+g.ways) ^ uint64(pol)<<32 | 1
@@ -493,7 +501,6 @@ func TestDifferentialTTLAndCost(t *testing.T) {
 						WithOnEvict(func(k, v uint64) { evicted = append(evicted, k) }),
 						WithOnExpire(func(k, v uint64) { expired = append(expired, k) }),
 					}
-					opts = append(opts, mode.opts...)
 					if g.defaultTTL > 0 {
 						opts = append(opts, WithDefaultTTL(time.Duration(g.defaultTTL)))
 					}
@@ -501,6 +508,7 @@ func TestDifferentialTTLAndCost(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					applyMode(c, mode.locked)
 					defer c.Close()
 					budgets := make([]uint64, g.tenants)
 					budgets[0] = 64 // tight: the capped DP actually binds
@@ -617,28 +625,27 @@ func TestDifferentialTTLAndCost(t *testing.T) {
 
 // TestDifferentialBatchOps replays a workload through batch APIs on one
 // cache and per-key APIs on another sharing the same hash seed; the final
-// contents, stats and per-key results must match (batching only changes
-// cross-shard interleaving, which is semantically inert). Every policy
-// kind runs in both recency configurations: the default exercises the
-// lock-free per-key GetBatch, the immediate one the shard-grouped
-// single-lock walk.
+// contents, stats and per-key results must match (a batch is the per-key
+// loop). Every policy kind runs on both data planes: the
+// lock-free one with its deferred touches, and the fully locked one.
 func TestDifferentialBatchOps(t *testing.T) {
 	for _, mode := range recencyModes {
 		for _, pol := range diffBatchKinds {
-			t.Run(mode.name+"/"+pol.String(), func(t *testing.T) { diffBatchOps(t, pol, mode.opts...) })
+			t.Run(mode.name+"/"+pol.String(), func(t *testing.T) { diffBatchOps(t, pol, mode.locked) })
 		}
 	}
 }
 
-func diffBatchOps(t *testing.T, pol plru.Kind, modeOpts ...Option) {
+func diffBatchOps(t *testing.T, pol plru.Kind, locked bool) {
 	build := func() *Cache[uint64, uint64] {
-		c, err := New[uint64, uint64](append([]Option{
+		c, err := New[uint64, uint64](
 			WithShards(4), WithSets(8), WithWays(8),
 			WithPolicy(pol), WithPartitions(2), WithSeed(5),
-		}, modeOpts...)...)
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		applyMode(c, locked)
 		return c
 	}
 	c1 := build()

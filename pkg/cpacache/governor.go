@@ -337,7 +337,7 @@ func (c *Cache[K, V]) setWithDeadline(tenant int, key K, value V, dl int64) erro
 	sh.mu.Lock()
 	evKey, evVal, kind, way := c.setLocked(sh, set, tenant, tag, key, value, dl, cost)
 	if c.enforcing() && c.overBudget(tenant) {
-		s := c.getScratch(0)
+		s := c.getScratch()
 		c.enforceShardLocked(sh, tenant, set, way, s)
 		sh.mu.Unlock()
 		c.displaced(evKey, evVal, kind)
@@ -345,7 +345,7 @@ func (c *Cache[K, V]) setWithDeadline(tenant int, key K, value V, dl int64) erro
 		if c.overBudget(tenant) {
 			c.enforceAcross(tenant, si, s)
 		}
-		c.putScratch(s)
+		c.batchPool.Put(s)
 		c.checkPressure()
 		return nil
 	}

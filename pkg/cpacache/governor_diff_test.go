@@ -226,7 +226,6 @@ func TestDifferentialHardBudgets(t *testing.T) {
 						WithOnEvict(func(k, v uint64) { evicted = append(evicted, k) }),
 						WithOnExpire(func(k, v uint64) { expired = append(expired, k) }),
 					}
-					opts = append(opts, mode.opts...)
 					if g.defaultTTL > 0 {
 						opts = append(opts, WithDefaultTTL(time.Duration(g.defaultTTL)))
 					}
@@ -235,6 +234,7 @@ func TestDifferentialHardBudgets(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer c.Close()
+					applyMode(c, mode.locked)
 					if err := c.SetBudgets(budgets); err != nil {
 						t.Fatal(err)
 					}
@@ -399,11 +399,10 @@ func TestDifferentialHardBudgets(t *testing.T) {
 
 // TestDifferentialHardBudgetBatch replays a hard-budget workload through
 // SetBatch on one cache and per-key SetTenant on another sharing the same
-// hash seed. On a single shard the batch's per-key enforcement order is
-// identical to the sequential one, so stats (BudgetEvictions included),
-// gauges and final contents must match exactly — the per-key equivalence
-// the SetBatch enforcement break-out claims to preserve. Oversized keys
-// must be skipped without poisoning the rest of the batch.
+// hash seed. The batch is the per-key loop, so stats (BudgetEvictions
+// included), gauges and final contents must match exactly after every
+// round. Oversized keys must be skipped without poisoning the rest of
+// the batch.
 func TestDifferentialHardBudgetBatch(t *testing.T) {
 	costOf := func(k, v uint64) uint64 {
 		if k%89 == 0 {
@@ -415,14 +414,15 @@ func TestDifferentialHardBudgetBatch(t *testing.T) {
 		for _, pol := range diffBatchKinds {
 			t.Run(mode.name+"/"+pol.String(), func(t *testing.T) {
 				build := func() *Cache[uint64, uint64] {
-					c, err := New[uint64, uint64](append([]Option{
+					c, err := New[uint64, uint64](
 						WithShards(1), WithSets(16), WithWays(8),
 						WithPolicy(pol), WithPartitions(2), WithSeed(5),
 						WithCost(costOf), WithHardBudgets(), WithMaxBytes(256),
-					}, mode.opts...)...)
+					)
 					if err != nil {
 						t.Fatal(err)
 					}
+					applyMode(c, mode.locked)
 					if err := c.SetBudgets([]uint64{96, 0}); err != nil {
 						t.Fatal(err)
 					}

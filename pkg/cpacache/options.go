@@ -32,9 +32,6 @@ type settings struct {
 	hysteresis    float64
 	minSamples    uint64
 
-	immediate   bool
-	touchBuffer int
-
 	autoselect bool
 	candidates []plru.Kind
 
@@ -69,7 +66,6 @@ func newSettings(opts []Option) (settings, error) {
 		sweepInterval: 100 * time.Millisecond,
 		hysteresis:    0.05,
 		minSamples:    128,
-		touchBuffer:   touchRingDefault,
 	}
 	for _, o := range opts {
 		if err := o.apply(&s); err != nil {
@@ -113,9 +109,6 @@ func newSettings(opts []Option) (settings, error) {
 	}
 	if s.hysteresis < 0 || s.hysteresis != s.hysteresis {
 		return settings{}, fmt.Errorf("cpacache: rebalance hysteresis must be a fraction >= 0, got %v", s.hysteresis)
-	}
-	if s.touchBuffer <= 0 || s.touchBuffer&(s.touchBuffer-1) != 0 {
-		return settings{}, fmt.Errorf("cpacache: touch buffer must be a positive power of two, got %d", s.touchBuffer)
 	}
 	if s.autoselect {
 		kinds, err := resolveCandidates(s.policy, s.ways, s.candidates)
@@ -365,28 +358,4 @@ func WithPolicyAutoSelect(candidates ...plru.Kind) Option {
 // available from Stats and Snapshot regardless of any sink.
 func WithMetricsSink(sink MetricsSink) Option {
 	return optionFunc(func(s *settings) error { s.sink = sink; return nil })
-}
-
-// WithImmediateRecency restores the fully locked data plane: every
-// lookup takes its shard mutex and applies the replacement policy's
-// Touch before returning, instead of the default optimistic path
-// (lock-free reads for pointer-free types, recency deferred through the
-// per-shard touch ring until the next writer drains it). Use it when
-// exact, reproducible eviction order matters more than read scalability
-// — differential tests, trace replay, simulation. Single-threaded
-// workloads whose touch ring never overflows behave identically either
-// way; concurrent ones may observe slightly different eviction choices
-// under the default, never different key→value contents.
-func WithImmediateRecency() Option {
-	return optionFunc(func(s *settings) error { s.immediate = true; return nil })
-}
-
-// WithTouchBuffer sets the per-shard deferred-recency ring capacity in
-// records (a positive power of two; default 256). More than n lookup
-// hits between two writer drains overwrite the oldest records — pseudo-
-// LRU replacement tolerates such sampled recency, but a larger buffer
-// keeps more of it under read-mostly bursts. Ignored (no ring exists)
-// under WithImmediateRecency.
-func WithTouchBuffer(n int) Option {
-	return optionFunc(func(s *settings) error { s.touchBuffer = n; return nil })
 }

@@ -3,9 +3,7 @@
 package cpacache
 
 // raceEnabled — see race_off.go. Under the race detector every lookup
-// takes the locked slow path (identical observable semantics). The
-// deferred touch ring still runs, and is race-clean here not because
-// its accesses are atomic — the slot words and head counter are plain —
-// but because with the lock-free path off, every producer and the
-// drainer alike touch it only while holding the shard mutex.
+// takes the locked slow path (identical observable semantics), and with
+// the lock-free path off no shard carries a touch ring: hits apply Touch
+// directly under the shard mutex.
 const raceEnabled = true

@@ -33,15 +33,20 @@ import "sync/atomic"
 // builds never run the producer (lookups are fully locked there and
 // apply Touch directly), so the detector has nothing to flag.
 //
+// Only lock-free caches (pointer-free K and V, non-race builds) carry a
+// ring: getNoLock is its only producer, so any other cache would hold a
+// ring nothing writes. Their locked paths find touchRing nil and apply
+// every Touch and Fill directly.
+//
 // Single-threaded executions never drop or reorder records (positions
 // are sequential and drains run before every policy read), so with a
 // ring large enough to hold the hits between two mutations the deferred
 // configuration is *exactly* equivalent to immediate Touch — the
 // property the differential tests lean on.
 
-// touchRingDefault is the per-shard ring capacity installed unless
-// WithTouchBuffer overrides it. 256 records = 2KB per shard.
-const touchRingDefault = 256
+// touchRingSize is the per-shard ring capacity: 256 records = 2KB per
+// shard.
+const touchRingSize = 256
 
 // touch record layout:
 // | valid(1) | fill(1) | sig(8) | set(22) | tenant(16) | way(16) |.
@@ -124,7 +129,7 @@ func (c *Cache[K, V]) fillOrPush(sh *shard[K, V], set, way, tenant int, sig uint
 // past the observed head are left for the next drain.
 func (c *Cache[K, V]) drainTouches(sh *shard[K, V]) {
 	if sh.touchRing == nil {
-		return // immediate-recency configuration: nothing ever queues
+		return // locked plane: nothing ever queues
 	}
 	if h := atomic.LoadUint64(&sh.touchHead); h != sh.touchDrained {
 		c.drainSlow(sh, h)
