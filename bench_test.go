@@ -72,6 +72,9 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig7Serial and BenchmarkFig7Parallel compare the experiment
 // engine at Parallelism 1 versus GOMAXPROCS on the same Fig7 sweep.
 // Output is bit-identical either way; only wall-clock differs.
+// Parallelism bounds the simulations in flight, not the CPUs: the shared
+// tapes of each workload's group record on goroutines of their own beside
+// them, so the serial sweep can use two CPUs too.
 func BenchmarkFig7Serial(b *testing.B) {
 	opt := benchOptions()
 	opt.Parallelism = 1

@@ -10,7 +10,9 @@
 // The default instruction budget (1M per thread) is a scaled-down stand-in
 // for the paper's 100M SimPoint slices; raise -insts for tighter numbers.
 // Simulations run -parallel at a time (default: GOMAXPROCS); the output
-// is bit-identical at any setting. Ctrl-C cancels the sweep. With
+// is bit-identical at any setting. The shared tapes of a workload's
+// simulations record on goroutines of their own beside them, so even
+// -parallel 1 can keep two CPUs busy. Ctrl-C cancels the sweep. With
 // -csvdir, each figure also writes a machine-readable CSV.
 //
 // -opt (or -experiment opt) emits the Belady/OPT competitive-analysis
@@ -47,7 +49,7 @@ func main() {
 		interval   = flag.Uint64("interval", 250_000, "repartition interval in cycles")
 		sample     = flag.Int("sample", 32, "ATD set-sampling rate (1 in N sets)")
 		limit      = flag.Int("limit", 0, "max workloads per thread count (0 = all)")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS); shared tapes record beside them, so 1 can use two CPUs")
 		csvdir     = flag.String("csvdir", "", "directory for CSV output (optional)")
 		verbose    = flag.Bool("v", false, "print per-run progress")
 		optFlag    = flag.Bool("opt", false, "also run the Belady/OPT competitive-analysis scoreboard")
@@ -108,7 +110,7 @@ func main() {
 
 	run := func(name string) {
 		start := time.Now()
-		simsBefore, instsBefore, tapesBefore := h.Simulated(), h.SimulatedInsts(), h.Tapes()
+		simsBefore, instsBefore := h.Simulated(), h.SimulatedInsts()
 		switch name {
 		case "table1":
 			fmt.Print(experiments.Table1())
@@ -172,10 +174,9 @@ func main() {
 		if minst := float64(h.SimulatedInsts()-instsBefore) / 1e6; minst > 0 {
 			speed = fmt.Sprintf(" %.1f Minst, %.1f Minst/s,", minst, minst/elapsed.Seconds())
 		}
-		if tapes := h.Tapes(); tapes.Produced > tapesBefore.Produced {
+		if tapes := h.TakeTapes(); tapes.Produced > 0 {
 			speed += fmt.Sprintf(" %.1f M events recorded, %.1f M replayed, %d KB peak tape,",
-				float64(tapes.Produced-tapesBefore.Produced)/1e6,
-				float64(tapes.Replayed-tapesBefore.Replayed)/1e6, tapes.PeakBytes>>10)
+				float64(tapes.Produced)/1e6, float64(tapes.Replayed)/1e6, tapes.PeakBytes>>10)
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v, %d simulations run,%s %d workers]\n",
 			name, elapsed.Round(time.Millisecond), h.Simulated()-simsBefore, speed, h.Parallelism())

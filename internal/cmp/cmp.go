@@ -41,7 +41,10 @@
 // Groups. Systems that differ only in their L2 and CPA run the same
 // private halves, so RunGroup runs them together on one tape per core
 // (cpu.Tape) and in cycle lockstep, which bounds how much of the tapes is
-// live; see RunGroup for why that changes nothing a run computes.
+// live; see RunGroup for why that changes nothing a run computes. Each
+// shared tape records on a goroutine of its own, one chunk ahead of its
+// readers, so the goroutines that run the systems only replay; the
+// workers argument bounds those, not the recorders beside them.
 //
 // Cores that reach the per-thread instruction target keep running (to
 // preserve contention, as in the paper's methodology) until every core
@@ -281,8 +284,9 @@ func (s *System) RunContext(ctx context.Context) (Results, error) {
 }
 
 // TapeStats counts the private work of a group: the trace events its
-// tapes recorded, the events its cores replayed, and the tape memory it
-// allocated, which is the most it held at once.
+// tapes recorded in the chunks some core reached, the events its cores
+// replayed, and the tape memory it allocated, which is the most it held
+// at once.
 type TapeStats struct {
 	Produced  uint64
 	Replayed  uint64
@@ -294,7 +298,11 @@ type TapeStats struct {
 // but not in their cores: the same profile, id and seed per core, the
 // same L1, Params and MaxInsts, and none of them run yet. Core i of every
 // system then replays one shared tape (cpu.Tape), so each core's private
-// half is produced once for the whole group.
+// half is produced once for the whole group. In a group of two or more
+// each tape records on a goroutine of its own, one chunk ahead of its
+// readers (cpu.Tape.Prerecord), so up to workers+len(tapes) goroutines
+// run at once; RunGroup stops them all before it returns, however it
+// returns. A group of one records inline.
 //
 // The systems advance in lockstep: each runs its election loop up to a
 // cycle horizon, workers of them at a time, and the horizon moves on by
@@ -327,6 +335,9 @@ func RunGroup(ctx context.Context, workers int, systems ...*System) ([]Results, 
 		for i := range s.cores {
 			s.cores[i] = cpu.NewCore(tapes[i], s.cfg.Params, s)
 		}
+	}
+	for _, t := range tapes {
+		defer t.Prerecord()() // a no-op for a group of one
 	}
 
 	runs := make([]*run, len(systems))

@@ -1,9 +1,11 @@
 package cmp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -286,5 +288,103 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if insts := sys.cores[0].Insts(); insts < 10_000 {
 		t.Fatalf("canceled after %d instructions: the run had not got going", insts)
+	}
+}
+
+// TestRunGroupStopsRecorders checks that a group of two or more records
+// each tape on a goroutine of its own, that a group of one starts none,
+// and that RunGroup leaves none running however it returns: finished,
+// canceled mid-run, or refused.
+func TestRunGroupStopsRecorders(t *testing.T) {
+	benchmarks := []string{"mcf", "twolf"}
+	group := func(benchmarks []string, maxInsts uint64, acronyms ...string) []*System {
+		systems := make([]*System, len(acronyms))
+		for i, acr := range acronyms {
+			cfg := testConfig(t, benchmarks, plru.BT, acr, 256)
+			cfg.MaxInsts = maxInsts
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			systems[i] = sys
+		}
+		return systems
+	}
+	// during counts the recorders running at a group's first L2 access.
+	during := func(s *System) *int {
+		n := -1
+		s.SetTracer(func(int, uint64) {
+			if n < 0 {
+				n = recorderGoroutines()
+			}
+		})
+		return &n
+	}
+
+	systems := group(benchmarks, 150_000, "", "M-BT", "C-BT")
+	seen := during(systems[0])
+	if _, _, err := RunGroup(context.Background(), 2, systems...); err != nil {
+		t.Fatal(err)
+	}
+	if *seen != len(benchmarks) {
+		t.Errorf("%d recorders ran for a group of three on %d tapes", *seen, len(benchmarks))
+	}
+	noRecorders(t, "a finished group")
+
+	alone := group(benchmarks, 150_000, "M-BT")[0]
+	seen = during(alone)
+	if _, err := alone.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if *seen != 0 {
+		t.Errorf("a group of one started %d recorders", *seen)
+	}
+
+	systems = group(benchmarks, 1<<40, "", "M-BT")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var canceledAt time.Time
+	time.AfterFunc(30*time.Millisecond, func() {
+		canceledAt = time.Now()
+		cancel()
+	})
+	_, _, err := RunGroup(ctx, 2, systems...)
+	took := time.Since(canceledAt)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled group: err = %v", err)
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("canceling a group took %v", took)
+	}
+	noRecorders(t, "a canceled group")
+
+	mixed := append(group(benchmarks, 150_000, ""), group([]string{"mcf", "swim"}, 150_000, "M-BT")...)
+	if _, _, err := RunGroup(context.Background(), 2, mixed...); err == nil {
+		t.Fatal("a group of different programs ran")
+	}
+	noRecorders(t, "a refused group")
+}
+
+// recorderGoroutines counts the goroutines running a tape's recorder.
+func recorderGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("cpu.(*Tape).recordAhead("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// noRecorders fails t if a recorder goroutine is still running a second
+// after what returned: one that has closed its done channel may take a
+// moment to exit.
+func noRecorders(t *testing.T, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); recorderGoroutines() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tape recorders still running after %s", recorderGoroutines(), what)
+		}
 	}
 }

@@ -2,7 +2,9 @@
 // model that consumes a synthetic trace, runs a private L1 data cache and
 // a branch predictor, and charges latency for L2 and memory accesses. The
 // trace, the L1 and the predictor form a Tape that several Cores — the
-// same core in different configurations — can replay.
+// same core in different configurations — can replay. A lone Core records
+// its tape as it goes; a tape with several readers can record on a
+// goroutine of its own, one chunk ahead of them (Tape.Prerecord).
 //
 // This is the simulator-substrate substitution for the paper's Turandot
 // out-of-order core: the 8-wide window is summarized by the benchmark's

@@ -15,30 +15,49 @@ import (
 // predictor. None of the three ever reads the shared L2, and the L2 never
 // back-invalidates the L1, so what they do is a pure function of (profile,
 // core id, seed, L1) and can be recorded once and replayed by any number
-// of Cores — one per configuration the core runs in. The tape produces its
-// events on demand, a chunk at a time, when its most advanced reader runs
-// out of them; chunks every reader has passed are reused.
+// of Cores — one per configuration the core runs in. The tape records its
+// events a chunk at a time; chunks every reader has passed are reused.
 //
-// Several readers may replay a tape from different goroutines. Production
-// and recycling are serialized by the tape's lock, and a chunk is immutable
-// from the moment it is linked until every reader has passed it.
+// Who records depends on how many readers share the tape. A lone reader
+// records inline, when it runs out of events, so a tape nobody shares
+// starts no goroutine and needs nobody to stop one. A tape with several
+// readers can hand its recording to a goroutine of its own (Prerecord),
+// which fills the chunk after the most advanced reader's while the
+// readers replay, and never runs further ahead than that. Either way the
+// tape holds the same events in the same chunks.
+//
+// Several readers may replay a tape from different goroutines. Taking a
+// chunk, linking it and recycling it are serialized by the tape's lock;
+// filling it is not, as only one party ever fills (the recorder, or else
+// a reader holding the lock). A chunk is immutable from the moment it is
+// linked until every reader has passed it.
 type Tape struct {
 	id    int
 	prof  trace.Profile
 	seed  uint64
 	l1cfg cache.Config
 
-	mu  sync.Mutex
-	gen *trace.Generator // built by the first production
+	// The filler's state, built by the first fill.
+	gen *trace.Generator
 	l1  *cache.Cache
 	bp  *bpred.Predictor
 
+	mu     sync.Mutex
+	linked sync.Cond // a chunk was linked, or the recorder stopped
+	wanted sync.Cond // a reader reached a new chunk, or the recorder must stop
+
 	head    *chunk   // the oldest chunk a reader may still be on
+	tail    *chunk   // the newest chunk linked
 	free    []*chunk // passed by every reader, ready for reuse
 	readers []*Core
 
-	seq      uint64 // chunks linked so far
-	produced uint64 // events recorded
+	recording bool // a recorder goroutine fills the chunks
+	stopping  bool // and has been told to stop
+
+	seq      uint64 // chunks taken so far
+	lead     uint64 // the furthest chunk a reader has reached
+	produced uint64 // events in the chunks up to lead
+	inline   uint64 // chunks a reader filled itself
 	bytes    int    // chunk buffers allocated
 }
 
@@ -50,15 +69,24 @@ const (
 	maxEvent   = 1 + 4 + 8 + 8
 )
 
+// lookahead is how many chunks a recorder links past the furthest chunk a
+// reader has reached. One lets it fill while the readers replay; more
+// timed the same and holds more memory.
+const lookahead = 1
+
+// testHookNewTape, when set, is passed every tape NewTape builds.
+var testHookNewTape func(*Tape)
+
 // chunk is a run of recorded events. Each event is one byte, its kind in
 // the low three bits and its instruction count in the high five, 0
 // meaning the count did not fit and follows as four bytes. An L1 miss then
 // adds the missing address and, when the victim was dirty, the victim's
 // line address, eight bytes each, little-endian.
 type chunk struct {
-	seq  uint64
-	buf  []byte
-	next atomic.Pointer[chunk]
+	seq    uint64
+	events uint64
+	buf    []byte
+	next   atomic.Pointer[chunk]
 }
 
 // Event kinds. The four L1-miss kinds are the bit pair missWrite|missDirty.
@@ -82,7 +110,13 @@ func NewTape(id int, prof trace.Profile, seed uint64, l1cfg cache.Config) *Tape 
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	return &Tape{id: id, prof: prof, seed: seed, l1cfg: l1cfg, head: &chunk{}}
+	t := &Tape{id: id, prof: prof, seed: seed, l1cfg: l1cfg, head: &chunk{}}
+	t.tail = t.head
+	t.linked.L, t.wanted.L = &t.mu, &t.mu
+	if testHookNewTape != nil {
+		testHookNewTape(t)
+	}
+	return t
 }
 
 // Interchangeable reports whether t and o record the same events: the same
@@ -91,7 +125,9 @@ func (t *Tape) Interchangeable(o *Tape) bool {
 	return t.id == o.id && t.seed == o.seed && t.l1cfg == o.l1cfg && reflect.DeepEqual(t.prof, o.prof)
 }
 
-// Produced reports how many events the tape has recorded.
+// Produced reports how many events the tape has recorded in the chunks
+// its readers reached. A chunk a recorder filled ahead of them does not
+// count, so the figure is the same however far ahead the recorder was.
 func (t *Tape) Produced() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -155,14 +191,27 @@ func (t *Tape) detach(r *Core) {
 	}
 }
 
-// next returns the chunk after r's, recording it if no reader has yet.
+// next returns the chunk after r's. When nobody has linked it yet, a
+// tape with a recorder waits for it, and one without has r record it.
 func (t *Tape) next(r *Core) *chunk {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := r.ch.next.Load()
-	if n == nil {
-		n = t.record()
-		r.ch.next.Store(n) // publishes n's contents to the other readers
+	for n == nil {
+		if t.recording {
+			t.linked.Wait()
+		} else {
+			c := t.take()
+			t.fill(c)
+			t.inline++
+			t.link(c)
+		}
+		n = r.ch.next.Load()
+	}
+	if n.seq > t.lead {
+		t.lead = n.seq
+		t.produced += n.events
+		t.wanted.Signal()
 	}
 	if len(t.readers) == 1 && t.readers[0] == r {
 		t.releaseTo(n)
@@ -170,18 +219,62 @@ func (t *Tape) next(r *Core) *chunk {
 	return n
 }
 
-// record fills a fresh chunk with the next events of the private half.
-// The caller holds t.mu.
-func (t *Tape) record() *chunk {
-	if t.gen == nil {
-		t.gen = trace.NewGenerator(t.prof, t.id, t.seed, t.l1cfg.LineBytes)
-		t.l1 = cache.New(t.l1cfg)
-		t.bp = bpred.New(bpred.DefaultConfig())
+// Prerecord hands the recording of a tape with two readers or more to a
+// goroutine of its own and returns a function that stops it and waits for
+// it to exit; stop may be called more than once. The goroutine fills the
+// chunk after the furthest one a reader has reached while the readers
+// replay, so a reader never records and waits only at the frontier. With
+// fewer than two readers Prerecord does nothing, and the reader records
+// inline, as readers do again once the recorder has stopped.
+func (t *Tape) Prerecord() (stop func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.readers) < 2 || t.recording {
+		return func() {}
 	}
+	t.recording, t.stopping = true, false
+	done := make(chan struct{})
+	go t.recordAhead(done)
+	return sync.OnceFunc(func() {
+		t.mu.Lock()
+		t.stopping = true
+		t.wanted.Signal()
+		t.mu.Unlock()
+		<-done
+	})
+}
+
+// recordAhead is the recorder goroutine: it keeps lookahead chunks linked
+// past the furthest chunk a reader has reached until it is told to stop.
+// It fills outside the lock, so readers whose next chunk is linked never
+// wait for it.
+func (t *Tape) recordAhead(done chan<- struct{}) {
+	defer close(done)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for {
+		for !t.stopping && t.tail.seq >= t.lead+lookahead {
+			t.wanted.Wait()
+		}
+		if t.stopping {
+			t.recording = false
+			t.linked.Broadcast()
+			return
+		}
+		c := t.take()
+		t.mu.Unlock()
+		t.fill(c)
+		t.mu.Lock()
+		t.link(c)
+	}
+}
+
+// take returns an empty chunk, reusing a free one if there is one, and
+// numbers it. The caller holds t.mu.
+func (t *Tape) take() *chunk {
 	var c *chunk
 	if n := len(t.free); n > 0 {
 		c, t.free = t.free[n-1], t.free[:n-1]
-		c.buf = c.buf[:0]
 		c.next.Store(nil)
 	} else {
 		c = &chunk{}
@@ -192,8 +285,26 @@ func (t *Tape) record() *chunk {
 	}
 	t.seq++
 	c.seq = t.seq
+	return c
+}
 
-	buf, gen, l1, bp := c.buf, t.gen, t.l1, t.bp
+// link appends a filled chunk to the tape and wakes the readers waiting
+// for it. The caller holds t.mu.
+func (t *Tape) link(c *chunk) {
+	t.tail.next.Store(c) // publishes c's contents to the readers
+	t.tail = c
+	t.linked.Broadcast()
+}
+
+// fill records the next events of the private half into c, which nobody
+// else can reach yet. The caller is the tape's only filler.
+func (t *Tape) fill(c *chunk) {
+	if t.gen == nil {
+		t.gen = trace.NewGenerator(t.prof, t.id, t.seed, t.l1cfg.LineBytes)
+		t.l1 = cache.New(t.l1cfg)
+		t.bp = bpred.New(bpred.DefaultConfig())
+	}
+	buf, gen, l1, bp := c.buf[:0], t.gen, t.l1, t.bp
 	events := uint64(0)
 	for ; len(buf) <= chunkBytes-maxEvent; events++ {
 		e := gen.Next()
@@ -234,7 +345,5 @@ func (t *Tape) record() *chunk {
 			}
 		}
 	}
-	t.produced += events
-	c.buf = buf
-	return c
+	c.buf, c.events = buf, events
 }

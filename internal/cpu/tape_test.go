@@ -1,8 +1,12 @@
 package cpu
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -121,6 +125,7 @@ func TestTapeMatchesGenerator(t *testing.T) {
 			}
 		}
 	}
+	waitRecorders(t, 0)
 }
 
 // TestTapeRecycles checks that a lone reader reuses its chunks as it goes,
@@ -160,6 +165,85 @@ func TestTapeRecycles(t *testing.T) {
 	}
 	if b := tape.Bytes(); b != held {
 		t.Fatalf("after the trailing reader retired the tape grew from %d to %d bytes", held, b)
+	}
+	waitRecorders(t, 0)
+}
+
+// TestRecorderMatchesInline replays one stream through a lone reader,
+// for which Prerecord does nothing, and through two readers on goroutines
+// of their own with a recorder filling ahead of them: all three must see
+// the same events, the recorded counts must agree, and the lone reader
+// must have filled every chunk of its tape and the two readers none.
+func TestRecorderMatchesInline(t *testing.T) {
+	const steps = 300_000
+	prof, err := workload.Get("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(c *Core) (float64, Stats) {
+		for range steps {
+			c.Step()
+		}
+		return c.Cycles(), c.Stats()
+	}
+	lone := NewTape(3, prof, 17, DefaultL1Config(128))
+	c := NewCore(lone, DefaultParams(), &perfectL2{})
+	stop := lone.Prerecord()
+	wantCycles, wantStats := run(c)
+	stop()
+
+	shared := NewTape(3, prof, 17, DefaultL1Config(128))
+	cores := []*Core{NewCore(shared, DefaultParams(), &perfectL2{}), NewCore(shared, DefaultParams(), &perfectL2{})}
+	stop = shared.Prerecord()
+	defer stop()
+	waitRecorders(t, 1)
+	var wg sync.WaitGroup
+	for _, c := range cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if cycles, stats := run(c); cycles != wantCycles || stats != wantStats {
+				t.Errorf("a reader of the recorded tape ended at %v %+v, the lone reader at %v %+v", cycles, stats, wantCycles, wantStats)
+			}
+		}()
+	}
+	wg.Wait()
+	stop()
+	stop()
+	waitRecorders(t, 0)
+
+	if got, want := shared.Produced(), lone.Produced(); got != want {
+		t.Errorf("the recorder produced %d events, the lone reader %d", got, want)
+	}
+	if all, byReaders := lone.Chunks(); all == 0 || byReaders != all {
+		t.Errorf("a lone reader filled %d of its tape's %d chunks", byReaders, all)
+	}
+	if all, byReaders := shared.Chunks(); byReaders != 0 {
+		t.Errorf("the readers of a recorded tape filled %d of its %d chunks", byReaders, all)
+	}
+}
+
+// recorderGoroutines counts the goroutines running a tape's recorder.
+func recorderGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("cpu.(*Tape).recordAhead("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// waitRecorders fails t unless n recorder goroutines run within a
+// second: a goroutine just started may not have run yet, and one that
+// has closed its done channel may not have exited yet.
+func waitRecorders(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); recorderGoroutines() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tape recorders running, want %d", recorderGoroutines(), n)
+		}
 	}
 }
 

@@ -180,7 +180,9 @@ func TestCancellationStopsPool(t *testing.T) {
 // options of bench/repro.go) and pins what sharing tapes buys and costs:
 // each recorded private event is replayed at least five times, and the
 // tapes of a group never hold more than 1 MiB. A change that lets the
-// tapes grow past that would show in the benchmark's peak RSS first.
+// tapes grow past that would show in the benchmark's peak RSS first. The
+// counts themselves are pinned too: they depend on nothing but the
+// sweep, not on how far ahead of its readers a tape's recorder ran.
 func TestFig7TapeFootprint(t *testing.T) {
 	h := New(Options{
 		Insts:         120_000,
@@ -192,11 +194,14 @@ func TestFig7TapeFootprint(t *testing.T) {
 	if _, err := h.Fig7(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := h.Tapes()
+	st := h.TakeTapes()
 	t.Logf("%d simulations: %d events recorded, %d replayed (%.2fx), peak tape %d KB",
 		h.Simulated(), st.Produced, st.Replayed, float64(st.Replayed)/float64(st.Produced), st.PeakBytes>>10)
 	if h.Simulated() != 71 {
 		t.Errorf("ran %d simulations, want 71", h.Simulated())
+	}
+	if st.Produced != 10_696_573 || st.Replayed != 57_596_412 {
+		t.Errorf("%d events recorded and %d replayed, want 10696573 and 57596412", st.Produced, st.Replayed)
 	}
 	if st.Replayed < 5*st.Produced {
 		t.Errorf("%d events replayed for %d recorded: under 5x", st.Replayed, st.Produced)

@@ -51,6 +51,9 @@ type Options struct {
 	WorkloadLimit int
 	// Parallelism bounds how many simulations run concurrently
 	// (0 = GOMAXPROCS). Figure output is bit-identical at any setting.
+	// It does not bound CPUs: the shared tapes of a group record on
+	// goroutines of their own beside the simulations (cmp.RunGroup), so
+	// even Parallelism 1 can keep two CPUs busy.
 	Parallelism int
 	// Progress, when non-nil, receives one line per completed
 	// simulation. It may be called from multiple goroutines at once and
@@ -83,7 +86,7 @@ type Harness struct {
 	insts     atomic.Uint64              // instructions those simulations committed
 
 	tapeMu sync.Mutex
-	tapes  cmp.TapeStats // summed over groups, but PeakBytes is the largest group's
+	tapes  cmp.TapeStats // summed over groups since the last TakeTapes, but PeakBytes is the largest group's
 }
 
 // New returns a harness for the options; zero fields take the
@@ -136,13 +139,16 @@ func (h *Harness) ran(res cmp.Results) {
 	h.insts.Add(insts)
 }
 
-// Tapes reports the private work of the simulations run so far: the
-// trace events their tapes recorded and their cores replayed, and the
-// largest tape memory one group held.
-func (h *Harness) Tapes() cmp.TapeStats {
+// TakeTapes reports the private work of the simulations run since the
+// last call, or since New: the trace events their tapes recorded and
+// their cores replayed, and the largest tape memory one group held. It
+// then starts counting afresh.
+func (h *Harness) TakeTapes() cmp.TapeStats {
 	h.tapeMu.Lock()
 	defer h.tapeMu.Unlock()
-	return h.tapes
+	st := h.tapes
+	h.tapes = cmp.TapeStats{}
+	return st
 }
 
 func (h *Harness) addTapes(st cmp.TapeStats) {
