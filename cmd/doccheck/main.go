@@ -13,7 +13,7 @@
 //     how README-style snippets are written.
 //   - Repository paths in prose: in README.md and docs/*.md, every
 //     back-ticked path ending in .go, .md or .json, or starting with
-//     internal/, pkg/, cmd/ or examples/, must exist. A bare file name (`ring.go`)
+//     internal/, pkg/, cmd/ or examples/, must exist. A bare file name (`tags.go`)
 //     must exist somewhere in the tree; a Go selector after a package
 //     path (`internal/cmp.System`) is dropped. CHANGES.md, ROADMAP.md and
 //     EXPERIMENTS.md are logs of past states and are not checked.
@@ -25,6 +25,11 @@
 //     pkg/cpacache, the only package whose options the docs name bare.
 //   - Markdown named in Go comments: every *.md a comment names must
 //     exist, next to the Go file or at the scanned root.
+//   - The fuzz list: every -fuzz='^FuzzX$$' line of the Makefile's
+//     fuzz-smoke recipe must name a FuzzX(*testing.F) declared in the
+//     package that line runs, and every such declaration must have a
+//     line. go test -fuzz exits 0 on a pattern that matches nothing, so
+//     a stale or missing line would otherwise pass unnoticed.
 //
 // Exit status is nonzero when any check fails, so `make docs-check` and
 // the CI docs job gate on it.
@@ -32,6 +37,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -66,6 +72,10 @@ var optionRe = regexp.MustCompile(`[^.\w](With[A-Z]\w*)`)
 
 // mdNameRe matches a Markdown file name in Go comment text.
 var mdNameRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// fuzzLineRe matches a fuzz-smoke recipe line, capturing the target's
+// name and the package directory the line runs it in.
+var fuzzLineRe = regexp.MustCompile(`-fuzz='\^(\w+)\$\$'.*\s\./(\S*)$`)
 
 func main() {
 	flag.Usage = func() {
@@ -144,12 +154,84 @@ func checkTree(root string) ([]string, error) {
 			problems = append(problems, checkPathSpans(path, root, baseNames, api, data)...)
 		}
 	}
+	var fuzzTargets []fuzzTarget
 	for _, path := range goFiles {
-		ps, err := checkGoComments(path, root)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		problems = append(problems, ps...)
+		problems = append(problems, checkGoComments(fset, f, path, root)...)
+		if strings.HasSuffix(path, "_test.go") {
+			fuzzTargets = append(fuzzTargets, declaredFuzzTargets(fset, f, path, root)...)
+		}
+	}
+	ps, err := checkFuzzSmoke(root, fuzzTargets)
+	if err != nil {
+		return nil, err
+	}
+	return append(problems, ps...), nil
+}
+
+// fuzzTarget is one FuzzX(*testing.F) declaration: its package directory
+// relative to the root, in slash form, its name and its position.
+type fuzzTarget struct {
+	dir, name, pos string
+}
+
+// declaredFuzzTargets returns the fuzz targets a parsed test file declares.
+func declaredFuzzTargets(fset *token.FileSet, f *ast.File, file, root string) []fuzzTarget {
+	rel, _ := filepath.Rel(root, filepath.Dir(file))
+	var out []fuzzTarget
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") {
+			continue
+		}
+		if ps := fn.Type.Params.List; len(ps) == 1 && len(ps[0].Names) <= 1 && types.ExprString(ps[0].Type) == "*testing.F" {
+			out = append(out, fuzzTarget{filepath.ToSlash(rel), fn.Name.Name, fset.Position(fn.Pos()).String()})
+		}
+	}
+	return out
+}
+
+// checkFuzzSmoke matches the Makefile's fuzz-smoke recipe lines against
+// the declared fuzz targets, both ways. A root without a Makefile lists
+// no targets.
+func checkFuzzSmoke(root string, declared []fuzzTarget) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	have := map[fuzzTarget]bool{}
+	for _, t := range declared {
+		have[fuzzTarget{dir: t.dir, name: t.name}] = true
+	}
+	var problems []string
+	listed := map[fuzzTarget]bool{}
+	inRecipe := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "fuzz-smoke:") {
+			inRecipe = true
+			continue
+		}
+		if !strings.HasPrefix(line, "\t") {
+			inRecipe = false
+		}
+		m := fuzzLineRe.FindStringSubmatch(line)
+		if !inRecipe || m == nil {
+			continue
+		}
+		t := fuzzTarget{dir: filepath.ToSlash(filepath.Clean(m[2])), name: m[1]}
+		listed[t] = true
+		if !have[t] {
+			problems = append(problems, fmt.Sprintf("Makefile:%d: fuzz-smoke runs %s in ./%s, which declares no such fuzz target", i+1, t.name, t.dir))
+		}
+	}
+	for _, t := range declared {
+		if !listed[fuzzTarget{dir: t.dir, name: t.name}] {
+			problems = append(problems, fmt.Sprintf("%s: fuzz target %s has no line in the Makefile's fuzz-smoke", t.pos, t.name))
+		}
 	}
 	return problems, nil
 }
@@ -252,14 +334,9 @@ func declaredNames(dir string) (map[string]bool, error) {
 	return names, nil
 }
 
-// checkGoComments reports *.md files named in a Go file's comments that
-// exist neither next to the file nor at the scanned root.
-func checkGoComments(path, root string) ([]string, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
+// checkGoComments reports *.md files named in a parsed Go file's comments
+// that exist neither next to the file nor at the scanned root.
+func checkGoComments(fset *token.FileSet, f *ast.File, path, root string) []string {
 	var problems []string
 	for _, g := range f.Comments {
 		for _, c := range g.List {
@@ -270,7 +347,7 @@ func checkGoComments(path, root string) ([]string, error) {
 			}
 		}
 	}
-	return problems, nil
+	return problems
 }
 
 func hasAnyPrefix(s string, prefixes ...string) bool {

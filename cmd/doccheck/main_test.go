@@ -116,3 +116,25 @@ func TestBacktickedBareOptionMustBeDeclared(t *testing.T) {
 		"README.md:2: pkg/cpacache declares no WithTestOnly",
 		"DESIGN.md:1: pkg/cpacache declares no WithTouchBuffer")
 }
+
+func TestFuzzSmokeListMatchesDeclaredTargets(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"Makefile": "# -fuzz='^FuzzComment$$' ./pkg/a/ is not a recipe line\n" +
+			"fuzz-smoke:\n" +
+			"\t$(GO) test -run=NONE -fuzz='^FuzzListed$$' -fuzztime=10s ./pkg/a/\n" +
+			"\t$(GO) test -run=NONE -fuzz='^FuzzStale$$' -fuzztime=10s ./pkg/a/\n" +
+			"\t$(GO) test -run=NONE -fuzz='^FuzzElsewhere$$' -fuzztime=10s ./pkg/b\n" +
+			"\nother:\n\t$(GO) test -fuzz='^FuzzOtherTarget$$' ./pkg/a/\n",
+		"pkg/a/a_test.go": "package a\n\nimport \"testing\"\n\n" +
+			"func FuzzListed(f *testing.F) {}\n\n" +
+			"func FuzzUnlisted(f *testing.F) {}\n\n" +
+			"func FuzzHelper(t *testing.T) {}\n",
+		"pkg/a/a.go":      "package a\n\nimport \"testing\"\n\nfunc FuzzNotATest(f *testing.F) {}\n",
+		"pkg/c/c_test.go": "package c\n\nimport \"testing\"\n\nfunc FuzzElsewhere(f *testing.F) {}\n",
+	})
+	wantProblems(t, root,
+		"Makefile:4: fuzz-smoke runs FuzzStale in ./pkg/a, which declares no such fuzz target",
+		"Makefile:5: fuzz-smoke runs FuzzElsewhere in ./pkg/b, which declares no such fuzz target",
+		"a_test.go:7:1: fuzz target FuzzUnlisted has no line in the Makefile's fuzz-smoke",
+		"c_test.go:5:1: fuzz target FuzzElsewhere has no line in the Makefile's fuzz-smoke")
+}

@@ -154,8 +154,7 @@ func TestAutoSelectConvergesOnScanResistantPolicy(t *testing.T) {
 // auto-selector exactly as per-key reads do: one read stream through
 // GetBatch and the same stream through a GetTenant loop on a twin cache
 // must leave identical shadow window counters on every shard and produce
-// identical PolicySwitch events at every rebalance. String keys keep
-// both caches on the locked read plane, the daemon's.
+// identical PolicySwitch events at every rebalance.
 func TestGetBatchFeedsPolicyScoring(t *testing.T) {
 	type twin struct {
 		c      *Cache[string, string]

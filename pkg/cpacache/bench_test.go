@@ -1,6 +1,7 @@
 package cpacache
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,10 +81,9 @@ func BenchmarkParallelGetSet(b *testing.B) {
 }
 
 // BenchmarkParallelGetHit is the pure read-scaling number: every
-// goroutine does warm lookups only, so on a multi-core host the
-// optimistic (seqlock) read path must scale with readers — there is no
-// shard lock left to serialize on. On a 1-CPU host it degenerates to
-// BenchmarkGetHit plus RunParallel overhead.
+// goroutine does warm lookups only, spread over 8 shard locks. On a
+// 1-CPU host it degenerates to BenchmarkGetHit plus RunParallel
+// overhead.
 func BenchmarkParallelGetHit(b *testing.B) {
 	c := newBenchCache(b, plru.BT, 1)
 	const keys = 1024
@@ -108,8 +108,8 @@ func BenchmarkParallelGetHit(b *testing.B) {
 
 // BenchmarkGetHitAdaptive is BenchmarkGetHit with policy auto-selection
 // on: the warm lookup pays the shadow-directory probe only on sampled
-// sets (1 in 16 by default); the rest of the overhead is the deferred
-// fan-out when writers drain the touch ring.
+// sets (1 in 16 by default); the rest of the overhead is the recency
+// fan-out to every warm candidate on each hit.
 func BenchmarkGetHitAdaptive(b *testing.B) {
 	c, err := New[uint64, uint64](
 		WithShards(8), WithSets(256), WithWays(8),
@@ -248,4 +248,85 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDaemonOps runs the cache operations on the daemon's own types:
+// Cache[string, []byte] with the server's WithCost measurement (key plus
+// value length), 8 shards × 256 sets × 16 ways, BT, 2 tenants and 64-byte
+// values. The uint64 benchmarks above time the same paths on the
+// smallest key and value the cache can hold.
+func BenchmarkDaemonOps(b *testing.B) {
+	build := func(b *testing.B) *Cache[string, []byte] {
+		c, err := New[string, []byte](
+			WithShards(8), WithSets(256), WithWays(16),
+			WithPolicy(plru.BT), WithPartitions(2),
+			WithCost(func(k string, v []byte) uint64 { return uint64(len(k) + len(v)) }),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		return c
+	}
+	// Four times capacity, so SetChurn and SetTenantTTL evict on nearly
+	// every insert; GetHit reads a resident prefix.
+	keys := make([]string, 4*8*256*16)
+	for i := range keys {
+		keys[i] = "key:" + strconv.Itoa(i)
+	}
+	val := make([]byte, 64)
+	const hot = 1024
+
+	b.Run("GetHit", func(b *testing.B) {
+		c := build(b)
+		for _, k := range keys[:hot] {
+			c.Set(k, val)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Get(keys[i%hot])
+		}
+	})
+	b.Run("SetChurn", func(b *testing.B) {
+		c := build(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Set(keys[i%len(keys)], val)
+		}
+	})
+	b.Run("SetTenantTTL", func(b *testing.B) {
+		c := build(b)
+		c.SetTenantTTL(0, keys[0], val, time.Minute) // arm the TTL wheel untimed
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.SetTenantTTL(i&1, keys[i%len(keys)], val, time.Minute)
+		}
+	})
+	// ParallelGetSet mixes 90% lookups with 10% inserts over twice the
+	// capacity, each goroutine as one tenant.
+	b.Run("ParallelGetSet", func(b *testing.B) {
+		c := build(b)
+		space := uint64(len(keys) / 2)
+		var ctr atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			tenant := int(ctr.Add(1)) % 2
+			rng := ctr.Load()*0x9E3779B97F4A7C15 + 1
+			for pb.Next() {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				k := keys[rng%space]
+				if rng%10 == 0 {
+					c.SetTenant(tenant, k, val)
+				} else {
+					c.GetTenant(tenant, k)
+				}
+			}
+		})
+	})
 }

@@ -28,26 +28,20 @@
 // paths perform no heap allocation. Set probes resolve through a packed
 // per-set tag word (one hash byte per way, matched with branch-free SWAR
 // scans — see tags.go) the way a hardware cache resolves a parallel tag
-// match, falling back to full key comparison only on tag hits. Lookups
-// of pointer-free key/value types take no lock at all: a per-set
-// sequence word (a seqlock) validates the optimistic probe, recency is
-// deferred through a lossy per-shard touch ring that writers drain —
-// pseudo-LRU state tolerates late and dropped touches, which is the
-// paper's premise — and hit/miss counters are striped per shard
-// (lockfree.go, ring.go); every other cache, and every race build,
-// takes the shard mutex and touches on hit. Writers take exactly one
-// shard mutex. GetBatch and SetBatch are per-key loops over GetTenant
-// and SetTenant, TTL expiry is driven by a hierarchical timing wheel
-// that visits only due entries (lifecycle.go), and Rebalance reuses
-// control-plane scratch so steady-state repartitioning stays
-// allocation-free.
+// match, falling back to full key comparison only on tag hits. Every
+// operation, lookups included, takes exactly one shard mutex, and a hit
+// touches the policy's recency state under it; partitioning stays off
+// the hit path, because masks only constrain victim selection. GetBatch
+// and SetBatch are per-key loops over GetTenant and SetTenant, TTL
+// expiry is driven by a hierarchical timing wheel that visits only due
+// entries (lifecycle.go), and Rebalance reuses control-plane scratch so
+// steady-state repartitioning stays allocation-free.
 package cpacache
 
 import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,12 +65,6 @@ type Cache[K comparable, V any] struct {
 	setMask   uint64 // sets-1 when sets is a power of two, else 0
 	waysMask  uint64 // low `ways` bits set
 	tagWords  int    // packed tag words per set
-	setStride int    // words per set in shard.tags: 1 sequence word + tagWords
-
-	// lockFree requires pointer-free K and V and a non-race build; it
-	// routes unprofiled lookups through the seqlock path and is the only
-	// configuration that allocates touch rings.
-	lockFree bool
 
 	// batchPool recycles the callback buffers of budget enforcement
 	// (batch.go) so steady-state enforcing writes do not allocate.
@@ -171,10 +159,8 @@ type Cache[K comparable, V any] struct {
 }
 
 // shard is one independently locked slice of the cache: sets×ways slots
-// plus its own policy instance, touch ring, TTL wheel and UMON-style
-// profiler. The slices read by the lock-free lookup (tags, keys, vals,
-// ttl, deadline) are allocated before the cache is visible and never
-// reallocated, so a reader can never observe a torn slice header.
+// plus its own policy instance, TTL wheel and UMON-style profiler. Every
+// field except live is guarded by mu.
 type shard[K comparable, V any] struct {
 	mu sync.Mutex
 	// pol is the shard's replacement policy: one plru.New instance, or
@@ -185,7 +171,7 @@ type shard[K comparable, V any] struct {
 	pol    plru.Policy
 	multi  *multiPol
 	shadow *shadowDir
-	tags   []uint64 // setStride words per set: sequence word + packed tag bytes (tags.go)
+	tags   []uint64 // tagWords words per set: packed tag bytes (tags.go)
 	keys   []K
 	vals   []V
 	owner  []int16 // tenant that filled the slot, -1 when empty
@@ -194,73 +180,40 @@ type shard[K comparable, V any] struct {
 	stats  []TenantStats
 	prof   profiler[K]
 
-	// hm is the striped hit/miss plane: one cache-line-padded cell per
-	// tenant, bumped with plain increments by every lookup path and
-	// merged into TenantStats by Stats/Snapshot. Plain, not atomic, by
-	// design: an uncontended LOCK-prefixed add costs more than the whole
-	// SWAR probe, and a lost increment under simultaneous same-cell
-	// updates only nudges a monotonic gauge. Locked lookups are mutex-
-	// ordered (so race builds, where the lock-free path is off, see no
-	// race), and single-threaded executions count exactly.
+	// hm holds the lookup hit/miss counters, one cache-line-padded cell
+	// per tenant, merged into TenantStats by Stats/Snapshot. They sit
+	// apart from stats because every lookup writes them: the stats
+	// slices of different shards are small unpadded allocations that can
+	// share a cache line, and lookups on two cores would then false-share
+	// it even though each holds only its own shard's mutex.
 	hm []hmCell
-
-	// Deferred recency (ring.go): touchRing/touchHead are the lock-free
-	// producer side (slot words are plain — see ring.go for why that is
-	// safe). touchRing is nil unless the cache is lockFree; touchHead
-	// sits at the end of the struct.
-	touchRing []uint64
-	touchMask uint64
 
 	// TTL state: ttl[set] has bit w set iff the slot at (set, way w)
 	// carries a deadline, so the hot path pays one word test before ever
 	// loading a deadline; deadline[slot] is the expiry instant in the
 	// cache clock's nanoseconds (meaningful only when the bit is set).
-	// Writers store ttl words with atomic.StoreUint64 so the lock-free
-	// reader's acquire load synchronizes with the (lock-ordered)
-	// deadline-array allocation before it ever dereferences the array.
 	ttl      []uint64
 	deadline []int64
 	// cost[slot] is the WithCost measurement taken at fill time (nil
 	// when cost accounting is off). wheel is the hierarchical TTL
-	// timing wheel (lifecycle.go), allocated on first TTL use; all its
-	// state is guarded by mu.
+	// timing wheel (lifecycle.go), allocated on first TTL use.
 	cost  []uint64
 	wheel *ttlWheel
-
-	// touchHead is the one word every lock-free hit writes, so it sits
-	// here, behind the writer-only fields and ahead of the padding, off
-	// the cache lines holding the slice headers those same hits read
-	// (beside touchRing it cost ParallelGetSet ~1.5 ns/op in false
-	// sharing). touchDrained belongs to the drainer, under mu.
-	touchDrained uint64
-	touchHead    uint64
 
 	_ [8]uint64 // keep adjacent shards off one another's cache lines
 }
 
-// hmCell is one tenant's hit/miss counters, padded to a cache line so
-// tenants hammering different counters from different cores do not
-// false-share (the per-shard striping keeps cores mostly on their own
-// shard's cells already). See the shard.hm comment for why the fields
-// are plain words; readers aggregate them with atomic loads.
+// hmCell is one tenant's hit/miss counters, padded to a cache line (see
+// the shard.hm comment).
 type hmCell struct {
 	hits   uint64
 	misses uint64
 	_      [6]uint64
 }
 
-// seqBase returns the index of the set's sequence word in sh.tags.
-func (c *Cache[K, V]) seqBase(set int) int { return set * c.setStride }
-
 // tagBase returns the index of the set's first packed tag word in
-// sh.tags (one past the sequence word).
-func (c *Cache[K, V]) tagBase(set int) int { return set*c.setStride + 1 }
-
-// beginSetWrite/endSetWrite bracket a mutation of the set's slots with
-// seqlock increments: odd while inconsistent, even when done. Caller
-// holds sh.mu; sbase is seqBase(set).
-func (sh *shard[K, V]) beginSetWrite(sbase int) { atomic.AddUint64(&sh.tags[sbase], 1) }
-func (sh *shard[K, V]) endSetWrite(sbase int)   { atomic.AddUint64(&sh.tags[sbase], 1) }
+// sh.tags.
+func (c *Cache[K, V]) tagBase(set int) int { return set * c.tagWords }
 
 // setTag stores the tag byte of `way` into the set's packed tag words
 // rooted at tbase (= tagBase(set)).
@@ -268,12 +221,6 @@ func (sh *shard[K, V]) setTag(tbase, way int, tag uint8) {
 	shift := uint(way&7) * 8
 	w := &sh.tags[tbase+way>>3]
 	*w = *w&^(0xFF<<shift) | uint64(tag)<<shift
-}
-
-// setTTLBits stores the set's ttl word with release semantics — see the
-// shard.ttl field comment for why plain stores are not enough.
-func (sh *shard[K, V]) setTTLBits(set int, w uint64) {
-	atomic.StoreUint64(&sh.ttl[set], w)
 }
 
 // TenantStats counts one tenant's cache traffic. Hits, Misses, Evictions
@@ -357,7 +304,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		shardMask:     uint64(s.shards - 1),
 		waysMask:      uint64(plru.Full(s.ways)),
 		tagWords:      tagWordsFor(s.ways),
-		setStride:     setStrideFor(s.ways),
 		quotas:        evenQuotas(s.tenants, s.ways),
 		ttlDefault:    int64(s.defaultTTL),
 		stop:          make(chan struct{}),
@@ -389,12 +335,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 			c.lowBytes = c.highBytes - 1
 		}
 	}
-	// The optimistic read path hands plain loads of keys and values to
-	// the sequence check for validation; that is only crash- and GC-safe
-	// when neither type contains pointers (see lockfree.go). Race builds
-	// keep the locked path so the detector never sees the benign races.
-	c.lockFree = !raceEnabled &&
-		pointerFree(reflect.TypeFor[K]()) && pointerFree(reflect.TypeFor[V]())
 	if s.nowFn != nil {
 		c.nowFn = s.nowFn
 	} else {
@@ -430,7 +370,7 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.tags = make([]uint64, s.sets*c.setStride)
+		sh.tags = make([]uint64, s.sets*c.tagWords)
 		sh.keys = make([]K, s.sets*s.ways)
 		sh.vals = make([]V, s.sets*s.ways)
 		sh.owner = make([]int16, s.sets*s.ways)
@@ -440,12 +380,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		sh.masks = make([]plru.WayMask, s.tenants)
 		sh.stats = make([]TenantStats, s.tenants)
 		sh.hm = make([]hmCell, s.tenants)
-		if c.lockFree {
-			// Only getNoLock produces ring records; every other cache
-			// would carry a ring that nothing writes.
-			sh.touchRing = make([]uint64, touchRingSize)
-			sh.touchMask = touchRingSize - 1
-		}
 		// One TTL word per set is always present (the hot path tests it
 		// unconditionally); the sets×ways deadline array and the timing
 		// wheel are allocated lazily by armTTL, so TTL-free caches never
@@ -546,31 +480,12 @@ func (c *Cache[K, V]) Set(key K, value V) error { return c.SetTenant(0, key, val
 // global, as in the paper); a miss only records stats and the profile —
 // the caller decides whether to SetTenant the value afterwards.
 //
-// For pointer-free K and V the common case takes no lock: the probe is
-// validated by the set's sequence word and the recency update is
-// deferred through the shard's touch ring (drained by the next writer).
-// Lookups that land on a profiled set, race a writer past the retry
-// budget, or find a lapsed TTL fall back to the shard mutex; for
-// pointerful K or V, and in race builds, every lookup takes it.
+// The lookup holds the key's shard mutex throughout: it records the
+// profile on sampled sets, probes the tag words, reclaims a line whose
+// TTL lapsed, and applies the policy's Touch on a hit.
 func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 	c.checkTenant(tenant)
-	h := maphash.Comparable(c.seed, key)
-	sh := &c.shards[h&c.shardMask]
-	set := c.setOf(h)
-	tag := tagOf(h)
-	if c.lockFree && !sh.prof.isSampled(set) {
-		if v, ok, done := c.getNoLock(sh, set, tenant, tag, key); done {
-			return v, ok
-		}
-	}
-	return c.getLocked(sh, set, tenant, tag, key)
-}
-
-// getLocked is the mutex-guarded lookup: the original data plane, and
-// the fallback for everything the optimistic path cannot do — profile
-// recording, expired-line reclamation, contended retries, pointerful
-// types and race builds.
-func (c *Cache[K, V]) getLocked(sh *shard[K, V], set, tenant int, tag uint8, key K) (V, bool) {
+	sh, set, tag := c.locate(key)
 	base := set * c.ways
 	tbase := c.tagBase(set)
 
@@ -590,10 +505,6 @@ func (c *Cache[K, V]) getLocked(sh *shard[K, V], set, tenant int, tag uint8, key
 			w := j*8 + markWay(bits.TrailingZeros64(m))
 			if sh.keys[base+w] == key {
 				if sh.ttl[set]&(1<<uint(w)) != 0 && sh.deadline[base+w] <= c.now() {
-					// Reclamation mutates policy state: pending ring
-					// records precede this access in program order, so
-					// they apply before the Invalidate.
-					c.drainTouches(sh)
 					exK, exV := c.expireLocked(sh, set, w)
 					sh.hm[tenant].misses++
 					sh.mu.Unlock()
@@ -605,7 +516,7 @@ func (c *Cache[K, V]) getLocked(sh *shard[K, V], set, tenant int, tag uint8, key
 					return zero, false
 				}
 				sh.hm[tenant].hits++
-				c.touchOrPush(sh, set, w, tenant)
+				sh.pol.Touch(set, w, tenant)
 				v := sh.vals[base+w]
 				sh.mu.Unlock()
 				return v, true
@@ -691,10 +602,6 @@ func (c *Cache[K, V]) setLocked(sh *shard[K, V], set, tenant int, tag uint8, key
 				// path. A victim whose TTL lapsed between the scan above
 				// and here cannot exist (we hold the lock), but a line
 				// with a future deadline is still live — Evictions.
-				// Victim selection is the one write step that reads
-				// recency, so pending deferred touches apply here —
-				// updates and empty-way fills never pay a drain.
-				c.drainTouches(sh)
 				way = sh.pol.Victim(set, tenant, sh.masks[tenant])
 				evKey, evVal, kind = sh.keys[base+way], sh.vals[base+way], evictLive
 				sh.stats[sh.owner[base+way]].Evictions++
@@ -705,34 +612,26 @@ func (c *Cache[K, V]) setLocked(sh *shard[K, V], set, tenant int, tag uint8, key
 			}
 		}
 	}
-	sbase := c.seqBase(set)
-	sh.beginSetWrite(sbase)
 	sh.keys[base+way] = key
 	sh.vals[base+way] = value
 	sh.owner[base+way] = int16(tenant)
 	sh.setTag(tbase, way, tag)
 	if deadline != 0 {
-		sh.setTTLBits(set, sh.ttl[set]|1<<uint(way))
-		atomic.StoreInt64(&sh.deadline[base+way], deadline)
+		sh.ttl[set] |= 1 << uint(way)
+		sh.deadline[base+way] = deadline
 		sh.wheel.schedule(int32(base+way), deadline)
-	} else {
-		if sh.ttl[set]&(1<<uint(way)) != 0 {
-			sh.setTTLBits(set, sh.ttl[set]&^(1<<uint(way)))
-			sh.wheel.unlink(int32(base + way))
-		}
+	} else if sh.ttl[set]&(1<<uint(way)) != 0 {
+		sh.ttl[set] &^= 1 << uint(way)
+		sh.wheel.unlink(int32(base + way))
 	}
-	sh.endSetWrite(sbase)
-	// The access's own recency record joins the deferred queue when
-	// records are pending, so every update — hit, update-in-place or new
-	// fill — reaches the policy in program order. Updates of a resident
-	// line are recency hits (Touch); everything else installed a new
-	// line, which the policy must see as a Fill carrying the line's tag
-	// byte as its signature (AWRP resets its frequency on it, ARC probes
-	// its ghost rings with it).
+	// Updates of a resident line are recency hits (Touch); everything
+	// else installed a new line, which the policy must see as a Fill
+	// carrying the line's tag byte as its signature (AWRP resets its
+	// frequency on it, ARC probes its ghost rings with it).
 	if update {
-		c.touchOrPush(sh, set, way, tenant)
+		sh.pol.Touch(set, way, tenant)
 	} else {
-		c.fillOrPush(sh, set, way, tenant, tag)
+		sh.pol.Fill(set, way, tenant, tag)
 	}
 	if sh.cost != nil {
 		sh.cost[base+way] = cost
@@ -787,7 +686,6 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	tbase := c.tagBase(set)
 
 	sh.mu.Lock()
-	c.drainTouches(sh) // Invalidate consults recency; apply pending first
 	w := c.findLocked(sh, base, tbase, tag, key)
 	if w < 0 {
 		sh.mu.Unlock()
@@ -824,17 +722,14 @@ func (c *Cache[K, V]) clearSlotLocked(sh *shard[K, V], set, way int) {
 		c.gaugeSub(sh.owner[base+way], sh.cost[base+way])
 		sh.cost[base+way] = 0
 	}
-	sbase := c.seqBase(set)
-	sh.beginSetWrite(sbase)
 	sh.keys[base+way] = zeroK
 	sh.vals[base+way] = zeroV
 	sh.owner[base+way] = -1
 	sh.setTag(c.tagBase(set), way, tagEmpty)
 	if sh.ttl[set]&(1<<uint(way)) != 0 {
-		sh.setTTLBits(set, sh.ttl[set]&^(1<<uint(way)))
+		sh.ttl[set] &^= 1 << uint(way)
 		sh.wheel.unlink(int32(base + way))
 	}
-	sh.endSetWrite(sbase)
 	sh.pol.Invalidate(set, way)
 	sh.live.Add(-1)
 }
@@ -907,10 +802,9 @@ func (c *Cache[K, V]) Quotas() []int {
 	return append([]int(nil), c.quotas...)
 }
 
-// Stats returns per-tenant counters aggregated over all shards. Hits and
-// misses live on the striped atomic plane (updated without the shard
-// lock); evictions, expirations and bytes are read under each shard's
-// lock, so the result is per-shard (not cross-shard) consistent.
+// Stats returns per-tenant counters aggregated over all shards. Each
+// shard's counters are read under its lock, so the result is per-shard
+// (not cross-shard) consistent.
 func (c *Cache[K, V]) Stats() []TenantStats {
 	out := make([]TenantStats, c.tenants)
 	for i := range c.shards {
@@ -918,8 +812,8 @@ func (c *Cache[K, V]) Stats() []TenantStats {
 		sh.mu.Lock()
 		for t := range out {
 			out[t].add(sh.stats[t])
-			out[t].Hits += atomic.LoadUint64(&sh.hm[t].hits)
-			out[t].Misses += atomic.LoadUint64(&sh.hm[t].misses)
+			out[t].Hits += sh.hm[t].hits
+			out[t].Misses += sh.hm[t].misses
 		}
 		sh.mu.Unlock()
 	}
@@ -954,9 +848,6 @@ func (c *Cache[K, V]) setQuotasLocked(quotas []int) error {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		// Pending touches apply under the outgoing masks (NRU scopes its
-		// used-bit reset by them), exactly as immediate touches would.
-		c.drainTouches(sh)
 		copy(sh.masks, masks)
 		sh.pol.SetPartition(masks)
 		sh.mu.Unlock()
@@ -1032,7 +923,6 @@ func (c *Cache[K, V]) missCurvesInto(curves [][]uint64, try bool) bool {
 		} else {
 			sh.mu.Lock()
 		}
-		c.drainTouches(sh)
 		sh.prof.addCurves(curves)
 		sh.mu.Unlock()
 	}

@@ -111,6 +111,7 @@ func TestBadOptions(t *testing.T) {
 	}{
 		{"shards not pow2", []Option{WithShards(3)}},
 		{"zero sets", []Option{WithSets(0)}},
+		{"too many sets", []Option{WithSets(maxSets + 1)}},
 		{"ways too big", []Option{WithWays(plru.MaxWays + 1)}},
 		{"BT odd ways", []Option{WithWays(12), WithPolicy(plru.BT)}},
 		{"tenants exceed ways", []Option{WithWays(4), WithPartitions(5)}},

@@ -162,9 +162,6 @@ func (c *Cache[K, V]) overBudget(tenant int) bool {
 // Caller holds sh.mu; reclaimed pairs are buffered in s for the caller to
 // flush after unlock.
 func (c *Cache[K, V]) enforceShardLocked(sh *shard[K, V], tenant, protSet, protWay int, s *batchScratch[K, V]) {
-	// Victim selection and Invalidate consult recency state; pending
-	// deferred touches apply first, exactly as on the setLocked path.
-	c.drainTouches(sh)
 	if c.hardBudgets {
 		c.reclaimShardLocked(sh, tenant, scopeTenant, protSet, protWay, s)
 	}

@@ -2,7 +2,6 @@ package cpacache
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -249,9 +248,8 @@ func (c *Cache[K, V]) armTTL() {
 		nowTick := c.now() / wheelTick
 		// Allocate the per-slot deadline arrays and wheels now that TTLs
 		// exist. A deadline is only ever read for a slot whose per-set
-		// ttl bit is set; bits are stored atomically (release) after this
-		// lock-ordered allocation, so even the lock-free reader's
-		// acquire load of a set bit proves the arrays are visible.
+		// ttl bit is set, and every such read holds the shard lock this
+		// allocation takes, so no reader sees a set bit before the array.
 		for i := range c.shards {
 			sh := &c.shards[i]
 			sh.mu.Lock()
@@ -326,13 +324,12 @@ func (c *Cache[K, V]) sweepLoop() {
 	}
 }
 
-// sweepOnce runs one sweeper tick over every shard: drain the touch
-// ring, advance the wheel, reclaim due entries, run OnExpire outside the
-// lock. A shard whose mutex is contended is skipped — the data plane
-// owns it right now, and whatever was due stays linked for the next tick
-// — with the skip surfaced through SweepEvent.Skipped. The exK/exV
-// buffers are reused tick to tick so steady-state sweeping does not
-// allocate.
+// sweepOnce runs one sweeper tick over every shard: advance the wheel,
+// reclaim due entries, run OnExpire outside the lock. A shard whose
+// mutex is contended is skipped — the data plane owns it right now, and
+// whatever was due stays linked for the next tick — with the skip
+// surfaced through SweepEvent.Skipped. The exK/exV buffers are reused
+// tick to tick so steady-state sweeping does not allocate.
 func (c *Cache[K, V]) sweepOnce(exK []K, exV []V) ([]K, []V) {
 	now := c.now()
 	expired, visited, skipped := 0, 0, 0
@@ -342,7 +339,6 @@ func (c *Cache[K, V]) sweepOnce(exK []K, exV []V) ([]K, []V) {
 			skipped++
 			continue
 		}
-		c.drainTouches(sh)
 		var vis int
 		exK, exV, vis = c.advanceWheelLocked(sh, now, exK[:0], exV[:0])
 		sh.mu.Unlock()
@@ -502,7 +498,6 @@ func (c *Cache[K, V]) SetTTL(key K, ttl time.Duration) bool {
 		return false
 	}
 	if sh.ttl[set]&(1<<uint(w)) != 0 && sh.deadline[base+w] <= c.now() {
-		c.drainTouches(sh) // Invalidate consults recency
 		exK, exV := c.expireLocked(sh, set, w)
 		sh.mu.Unlock()
 		if c.onExpire != nil {
@@ -510,17 +505,14 @@ func (c *Cache[K, V]) SetTTL(key K, ttl time.Duration) bool {
 		}
 		return false
 	}
-	sbase := c.seqBase(set)
-	sh.beginSetWrite(sbase)
 	if dl := c.deadlineFor(ttl); dl != 0 {
-		sh.setTTLBits(set, sh.ttl[set]|1<<uint(w))
-		atomic.StoreInt64(&sh.deadline[base+w], dl)
+		sh.ttl[set] |= 1 << uint(w)
+		sh.deadline[base+w] = dl
 		sh.wheel.schedule(int32(base+w), dl)
 	} else if sh.ttl[set]&(1<<uint(w)) != 0 {
-		sh.setTTLBits(set, sh.ttl[set]&^(1<<uint(w)))
+		sh.ttl[set] &^= 1 << uint(w)
 		sh.wheel.unlink(int32(base + w))
 	}
-	sh.endSetWrite(sbase)
 	sh.mu.Unlock()
 	return true
 }
@@ -553,7 +545,6 @@ func (c *Cache[K, V]) TTL(key K) (remaining time.Duration, hasTTL, present bool)
 	dl := sh.deadline[base+w]
 	now := c.now()
 	if dl <= now {
-		c.drainTouches(sh) // Invalidate consults recency; apply pending first
 		exK, exV := c.expireLocked(sh, set, w)
 		sh.mu.Unlock()
 		if c.onExpire != nil {

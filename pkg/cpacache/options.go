@@ -8,6 +8,12 @@ import (
 	"repro/pkg/plru"
 )
 
+// maxSets is the largest per-shard set count New accepts. The TTL wheel
+// (lifecycle.go) links slots by int32 index, set*ways+way, and
+// maxSets × plru.MaxWays stays below 1<<31; no realistic geometry comes
+// close.
+const maxSets = 1 << 22
+
 // settings collects everything the options configure. The generic
 // callbacks (OnEvict, OnExpire, Cost) are held as `any` so that plain
 // options stay non-generic; New type-asserts them against the cache's own
@@ -78,10 +84,8 @@ func newSettings(opts []Option) (settings, error) {
 	if s.sets <= 0 {
 		return settings{}, fmt.Errorf("cpacache: sets must be positive, got %d", s.sets)
 	}
-	if s.sets > maxRingSets {
-		// The deferred-recency ring packs the set index into 22 bits
-		// (ring.go); no realistic geometry comes close.
-		return settings{}, fmt.Errorf("cpacache: sets must be at most %d, got %d", maxRingSets, s.sets)
+	if s.sets > maxSets {
+		return settings{}, fmt.Errorf("cpacache: sets must be at most %d, got %d", maxSets, s.sets)
 	}
 	if s.ways <= 0 || s.ways > plru.MaxWays {
 		return settings{}, fmt.Errorf("cpacache: ways must be in [1,%d], got %d", plru.MaxWays, s.ways)

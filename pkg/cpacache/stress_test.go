@@ -100,7 +100,7 @@ func TestConcurrentStress(t *testing.T) {
 // TestConcurrentBatchStress hammers GetBatch/SetBatch from many
 // goroutines (each with its own key/value slices, as the API requires)
 // while per-key ops, deletes and rebalances interleave. It exists to run
-// under -race, where every batch key takes the locked path.
+// under -race.
 func TestConcurrentBatchStress(t *testing.T) {
 	const (
 		workers  = 6

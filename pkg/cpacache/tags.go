@@ -16,15 +16,8 @@ package cpacache
 // shard selection (low bits) nor set selection (bits 32 and up) consumes,
 // so tag collisions are independent of set placement.
 //
-// Layout: each set owns a stride of tagWordsFor(ways)+1 consecutive
-// words in the shard's tags array. Word 0 of the stride is the set's
-// *sequence word* — the seqlock counter the optimistic read path
-// validates against (even = consistent, odd = writer mid-rewrite; see
-// lockfree.go) — and words 1..tagWords hold the packed per-way tag
-// bytes. Interleaving the sequence with the tags it guards means the
-// lock-free probe's sequence load and first tag load share a cache
-// line. Writers bump the sequence with beginSetWrite/endSetWrite around
-// every slot mutation, under the shard mutex.
+// Layout: each set owns tagWordsFor(ways) consecutive words in the
+// shard's tags array, holding the packed per-way tag bytes.
 
 const (
 	tagEmpty   = 0x00
@@ -37,10 +30,6 @@ func tagOf(h uint64) uint8 { return uint8(h>>24) | 0x80 }
 
 // tagWordsFor returns the number of packed tag words each set needs.
 func tagWordsFor(ways int) int { return (ways + 7) / 8 }
-
-// setStrideFor returns the per-set stride in the tags array: the
-// sequence word plus the packed tag words.
-func setStrideFor(ways int) int { return tagWordsFor(ways) + 1 }
 
 // zeroBytes returns a word with the high bit of byte i set iff byte i of w
 // is zero. The 7-bit add cannot carry between bytes, so — unlike the
