@@ -23,7 +23,7 @@ bench:
 # Quick sanity pass over the cpacache hot paths. The speed ledger is
 # `go run ./bench`; these benchmarks are for attributing a change to a path.
 bench-cpacache:
-	$(GO) test -run=NONE -bench=. -benchtime=100x ./pkg/cpacache/
+	$(GO) test -run=NONE -bench=. -benchtime=100x -cpu 1,2 ./pkg/cpacache/
 
 # Bit-identity of the reproduction: two Figure-7 sweeps (71 simulations
 # each) whose CSV must hash to bench/testdata/fig7.sha256; the benchmark

@@ -64,7 +64,7 @@ func (t *tenantFlags) Set(spec string) error {
 func main() {
 	var (
 		addr         = flag.String("addr", ":6379", "listen address (host:port; port 0 picks a free port)")
-		shards       = flag.Int("shards", 8, "cache shards")
+		shards       = flag.Int("shards", 8, "cache shards, a power of two (capacity is shards × sets × ways; the cache picks its own finer lock granularity)")
 		sets         = flag.Int("sets", 1024, "sets per shard")
 		ways         = flag.Int("ways", 16, "ways per set (associativity)")
 		policy       = flag.String("policy", "bt", "replacement policy: lru, nru, bt, random, awrp, arc")

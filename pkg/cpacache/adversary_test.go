@@ -16,7 +16,8 @@ import (
 func collisionClass[V any](c *Cache[uint64, V]) func(uint64) uint64 {
 	return func(k uint64) uint64 {
 		h := maphash.Comparable(c.seed, k)
-		return (h&c.shardMask)<<40 | uint64(c.setOf(h))<<8 | uint64(tagOf(h))
+		d, set := c.place(h)
+		return uint64(d)<<40 | uint64(set)<<8 | uint64(tagOf(h))
 	}
 }
 

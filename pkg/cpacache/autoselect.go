@@ -100,12 +100,12 @@ func (m *multiPol) SetPartition(masks []plru.WayMask) {
 	}
 }
 
-// shadowDir scores the candidate policies on one shard's profiled
+// shadowDir scores the candidate policies on one lock domain's profiled
 // lookup stream. Each candidate k owns a private tag directory of
 // sampledSets × tenants shadow sets, ways entries each: shadow set
 // (slot, tenant) simulates tenant's workload at full associativity
 // under policy k, independent of every other tenant and of the real
-// cache contents. All state lives under the shard mutex; access() is
+// cache contents. All state lives under the domain mutex; access() is
 // allocation-free.
 type shadowDir struct {
 	ways    int
@@ -127,7 +127,9 @@ func newShadowDir(kinds []plru.Kind, sampledSets, tenants, ways int, seed uint64
 		hits:    make([][]uint64, len(kinds)),
 		acc:     make([]uint64, tenants),
 	}
-	shadowSets := sampledSets * tenants
+	// A lock domain may hold no sampled set; one idle shadow set keeps
+	// the policy geometry valid.
+	shadowSets := max(sampledSets, 1) * tenants
 	for i, k := range kinds {
 		sd.pols[i] = plru.New(k, shadowSets, ways, tenants, seed+uint64(i)<<24)
 		sd.tags[i] = make([]uint8, shadowSets*ways)

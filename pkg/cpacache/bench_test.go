@@ -329,4 +329,34 @@ func BenchmarkDaemonOps(b *testing.B) {
 			}
 		})
 	})
+	// TwoTenants has lib_mixed's shape: each goroutine is one tenant on
+	// its own half of the keys (twice the capacity each), reading
+	// cache-aside — a miss sets the key — with three quarters of the
+	// reads on a hot sixteenth of its half. Run with -cpu 1,2 to see
+	// what the second core buys.
+	b.Run("TwoTenants", func(b *testing.B) {
+		c := build(b)
+		half := uint64(len(keys) / 2)
+		var ctr atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			id := ctr.Add(1) - 1
+			tenant := int(id % 2)
+			own := keys[uint64(tenant)*half : uint64(tenant+1)*half]
+			rng := id*0x9E3779B97F4A7C15 + 1
+			for pb.Next() {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				i := rng % half
+				if rng>>62 != 0 {
+					i %= half / 16
+				}
+				if _, ok := c.GetTenant(tenant, own[i]); !ok {
+					c.SetTenant(tenant, own[i], val)
+				}
+			}
+		})
+	})
 }

@@ -28,20 +28,24 @@
 // paths perform no heap allocation. Set probes resolve through a packed
 // per-set tag word (one hash byte per way, matched with branch-free SWAR
 // scans — see tags.go) the way a hardware cache resolves a parallel tag
-// match, falling back to full key comparison only on tag hits. Every
-// operation, lookups included, takes exactly one shard mutex, and a hit
-// touches the policy's recency state under it; partitioning stays off
-// the hit path, because masks only constrain victim selection. GetBatch
-// and SetBatch are per-key loops over GetTenant and SetTenant, TTL
-// expiry is driven by a hierarchical timing wheel that visits only due
-// entries (lifecycle.go), and Rebalance reuses control-plane scratch so
-// steady-state repartitioning stays allocation-free.
+// match, falling back to full key comparison only on tag hits. Each
+// configured shard is split into contiguous, independently locked set
+// ranges (lock domains, see domainSplit), so two cores rarely want the
+// same mutex. Every operation, lookups included, takes exactly one domain
+// mutex, and a hit touches the policy's recency state under it;
+// partitioning stays off the hit path, because masks only constrain
+// victim selection. GetBatch and SetBatch are per-key loops over
+// GetTenant and SetTenant, TTL expiry is driven by a hierarchical timing
+// wheel that visits only due entries (lifecycle.go), and Rebalance
+// reuses control-plane scratch so steady-state repartitioning stays
+// allocation-free.
 package cpacache
 
 import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,16 +57,20 @@ import (
 // Cache is a sharded, set-associative, partition-aware in-process cache.
 // The zero value is not usable; construct with New.
 type Cache[K comparable, V any] struct {
+	// shards holds the lock domains: each configured shard split into
+	// 1<<splitBits contiguous ranges of sets sets each (see place).
 	shards  []shard[K, V]
 	seed    maphash.Seed
-	sets    int // per shard
+	sets    int // per lock domain
 	ways    int
 	tenants int
 	policy  plru.Kind
 	onEvict func(K, V)
 
-	shardMask uint64 // len(shards)-1
-	setMask   uint64 // sets-1 when sets is a power of two, else 0
+	shardMask uint64 // configured shards-1
+	setMask   uint64 // configured sets-1 when a power of two, else 0
+	splitBits uint   // log2(domains per configured shard)
+	localBits uint   // log2(sets) when setMask != 0
 	waysMask  uint64 // low `ways` bits set
 	tagWords  int    // packed tag words per set
 
@@ -137,9 +145,9 @@ type Cache[K comparable, V any] struct {
 	nPolSwitch    atomic.Uint64
 
 	// Memory governor (governor.go). gaugeTenant/gaugeTotal are atomic
-	// mirrors of the per-shard TenantStats.Bytes parts, updated under the
-	// shard locks at the same points, so admission and the watermark
-	// ladder read cross-shard totals without sweeping every shard.
+	// mirrors of the per-domain TenantStats.Bytes parts, allocated and
+	// updated only under a hard limit (WithMaxBytes, WithHardBudgets),
+	// the one reader that needs cross-domain totals without locks.
 	// budgetAtomic mirrors the SetBudgets values so the write hot path
 	// never takes quotaMu. maxBytes/hardBudgets are immutable after New;
 	// highBytes/lowBytes are the watermark thresholds in bytes (0 =
@@ -158,9 +166,9 @@ type Cache[K comparable, V any] struct {
 	nBudgetEvictBytes atomic.Uint64
 }
 
-// shard is one independently locked slice of the cache: sets×ways slots
-// plus its own policy instance, TTL wheel and UMON-style profiler. Every
-// field except live is guarded by mu.
+// shard is one lock domain: sets×ways slots plus its own policy
+// instance, TTL wheel and UMON-style profiler. Every field except live is
+// guarded by mu.
 type shard[K comparable, V any] struct {
 	mu sync.Mutex
 	// pol is the shard's replacement policy: one plru.New instance, or
@@ -177,16 +185,12 @@ type shard[K comparable, V any] struct {
 	owner  []int16 // tenant that filled the slot, -1 when empty
 	masks  []plru.WayMask
 	live   atomic.Int64 // written under mu, read lock-free by Len
-	stats  []TenantStats
 	prof   profiler[K]
 
-	// hm holds the lookup hit/miss counters, one cache-line-padded cell
-	// per tenant, merged into TenantStats by Stats/Snapshot. They sit
-	// apart from stats because every lookup writes them: the stats
-	// slices of different shards are small unpadded allocations that can
-	// share a cache line, and lookups on two cores would then false-share
-	// it even though each holds only its own shard's mutex.
-	hm []hmCell
+	// stats holds one cache-line-padded counter cell per tenant: lookups
+	// and fills write them, and the cells of different domains must not
+	// share a line two cores write under two different mutexes.
+	stats []statCell
 
 	// TTL state: ttl[set] has bit w set iff the slot at (set, way w)
 	// carries a deadline, so the hot path pays one word test before ever
@@ -203,12 +207,11 @@ type shard[K comparable, V any] struct {
 	_ [8]uint64 // keep adjacent shards off one another's cache lines
 }
 
-// hmCell is one tenant's hit/miss counters, padded to a cache line (see
-// the shard.hm comment).
-type hmCell struct {
-	hits   uint64
-	misses uint64
-	_      [6]uint64
+// statCell is one tenant's counters in one domain, padded to a cache
+// line (see the shard.stats comment).
+type statCell struct {
+	TenantStats
+	_ [2]uint64
 }
 
 // tagBase returns the index of the set's first packed tag word in
@@ -239,7 +242,7 @@ type TenantStats struct {
 	Bytes           uint64 // resident WithCost total for lines this tenant inserted
 }
 
-// add accumulates o into s (per-shard Bytes parts sum to the gauge).
+// add accumulates o into s (per-domain Bytes parts sum to UsedBytes).
 func (s *TenantStats) add(o TenantStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -291,10 +294,11 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		}
 		costFn = fn
 	}
+	splitBits := domainSplit(s)
 	c := &Cache[K, V]{
-		shards:        make([]shard[K, V], s.shards),
+		shards:        make([]shard[K, V], s.shards<<splitBits),
 		seed:          maphash.MakeSeed(),
-		sets:          s.sets,
+		sets:          s.sets >> splitBits,
 		ways:          s.ways,
 		tenants:       s.tenants,
 		policy:        s.policy,
@@ -302,6 +306,7 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		onExpire:      onExpire,
 		costFn:        costFn,
 		shardMask:     uint64(s.shards - 1),
+		splitBits:     splitBits,
 		waysMask:      uint64(plru.Full(s.ways)),
 		tagWords:      tagWordsFor(s.ways),
 		quotas:        evenQuotas(s.tenants, s.ways),
@@ -316,8 +321,10 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		hardBudgets:   s.hardBudgets,
 	}
 	if costFn != nil {
-		c.gaugeTenant = make([]atomic.Int64, s.tenants)
 		c.budgetAtomic = make([]atomic.Uint64, s.tenants)
+	}
+	if c.enforcing() {
+		c.gaugeTenant = make([]atomic.Int64, s.tenants)
 	}
 	if s.maxBytes > 0 {
 		hi, lo := s.highMark, s.lowMark
@@ -342,6 +349,7 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 	}
 	if s.sets&(s.sets-1) == 0 {
 		c.setMask = uint64(s.sets - 1)
+		c.localBits = uint(bits.TrailingZeros(uint(c.sets)))
 	}
 	c.tenantTTL = make([]atomic.Int64, s.tenants)
 	c.ctlCurves = make([][]uint64, s.tenants)
@@ -368,33 +376,36 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		}
 		c.ctlShadowAcc = make([]uint64, s.tenants)
 	}
+	sets := c.sets
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.tags = make([]uint64, s.sets*c.tagWords)
-		sh.keys = make([]K, s.sets*s.ways)
-		sh.vals = make([]V, s.sets*s.ways)
-		sh.owner = make([]int16, s.sets*s.ways)
+		sh.tags = make([]uint64, sets*c.tagWords)
+		sh.keys = make([]K, sets*s.ways)
+		sh.vals = make([]V, sets*s.ways)
+		sh.owner = make([]int16, sets*s.ways)
 		for j := range sh.owner {
 			sh.owner[j] = -1
 		}
 		sh.masks = make([]plru.WayMask, s.tenants)
-		sh.stats = make([]TenantStats, s.tenants)
-		sh.hm = make([]hmCell, s.tenants)
+		sh.stats = make([]statCell, s.tenants)
 		// One TTL word per set is always present (the hot path tests it
 		// unconditionally); the sets×ways deadline array and the timing
 		// wheel are allocated lazily by armTTL, so TTL-free caches never
 		// carry them.
-		sh.ttl = make([]uint64, s.sets)
+		sh.ttl = make([]uint64, sets)
 		if costFn != nil {
-			sh.cost = make([]uint64, s.sets*s.ways)
+			sh.cost = make([]uint64, sets*s.ways)
 		}
-		sh.prof.init(s.sets, s.ways, s.tenants, s.sampleEvery)
+		// The profiler samples by the set's index in its configured
+		// shard, so the sampled sets do not depend on the split.
+		first := (i & (1<<splitBits - 1)) * sets
+		sh.prof.init(sets, s.ways, s.tenants, min(s.sampleEvery, s.sets), first)
 		if s.autoselect {
-			sh.multi = newMultiPol(c.activeKinds, c.polByTenant[0], s.sets, s.ways, s.tenants, s.seed+uint64(i))
+			sh.multi = newMultiPol(c.activeKinds, c.polByTenant[0], sets, s.ways, s.tenants, s.seed+uint64(i))
 			sh.pol = sh.multi
 			sh.shadow = newShadowDir(c.activeKinds, sh.prof.sampledCount, s.tenants, s.ways, s.seed+uint64(i))
 		} else {
-			sh.pol = plru.New(s.policy, s.sets, s.ways, s.tenants, s.seed+uint64(i))
+			sh.pol = plru.New(s.policy, sets, s.ways, s.tenants, s.seed+uint64(i))
 		}
 	}
 	if err := c.SetQuotas(c.quotas); err != nil {
@@ -422,19 +433,49 @@ func evenQuotas(tenants, ways int) []int {
 	return q
 }
 
-// setOf maps a key hash to a set index, with a mask instead of a modulo
-// when the set count is a power of two (the common geometry).
-func (c *Cache[K, V]) setOf(h uint64) int {
-	if c.setMask != 0 {
-		return int((h >> 32) & c.setMask)
+// Lock-domain geometry: New splits every configured shard into
+// power-of-two many contiguous set ranges until the cache has at least
+// minDomains domains, but never below minDomainSets sets per domain.
+const (
+	minDomains    = 64
+	minDomainSets = 16
+)
+
+// domainSplit returns log2 of the number of lock domains per configured
+// shard. Replacement state is per set, so regrouping sets under finer
+// locks changes nothing any set does — except for NRU, whose
+// replacement pointer is shared by every set of a policy instance: a
+// cache that runs NRU, like one with a modulo set mapping, stays unsplit.
+func domainSplit(s settings) uint {
+	if s.sets&(s.sets-1) != 0 || s.policy == plru.NRU || slices.Contains(s.candidates, plru.NRU) {
+		return 0
 	}
-	return int((h >> 32) % uint64(c.sets))
+	split := uint(0)
+	for s.shards<<split < minDomains && s.sets>>(split+1) >= minDomainSets {
+		split++
+	}
+	return split
 }
 
-// locate splits a key's hash into its shard, set index and tag byte.
+// place maps a key hash to its lock domain and its set within it. The
+// configured shard comes from the low hash bits and the configured set
+// from bits 32 up (by mask, or by modulo for set counts that are not a
+// power of two, which are never split); domain shard<<splitBits |
+// set>>localBits holds that set at local index set&(sets-1). The map is
+// a bijection, so every key keeps the set and way it had unsplit.
+func (c *Cache[K, V]) place(h uint64) (int, int) {
+	if c.setMask == 0 {
+		return int(h & c.shardMask), int((h >> 32) % uint64(c.sets))
+	}
+	set := (h >> 32) & c.setMask
+	return int((h&c.shardMask)<<c.splitBits | set>>c.localBits), int(set & uint64(c.sets-1))
+}
+
+// locate splits a key's hash into its lock domain, set index and tag byte.
 func (c *Cache[K, V]) locate(key K) (*shard[K, V], int, uint8) {
 	h := maphash.Comparable(c.seed, key)
-	return &c.shards[h&c.shardMask], c.setOf(h), tagOf(h)
+	d, set := c.place(h)
+	return &c.shards[d], set, tagOf(h)
 }
 
 func (c *Cache[K, V]) checkTenant(tenant int) {
@@ -480,7 +521,7 @@ func (c *Cache[K, V]) Set(key K, value V) error { return c.SetTenant(0, key, val
 // global, as in the paper); a miss only records stats and the profile —
 // the caller decides whether to SetTenant the value afterwards.
 //
-// The lookup holds the key's shard mutex throughout: it records the
+// The lookup holds the key's domain mutex throughout: it records the
 // profile on sampled sets, probes the tag words, reclaims a line whose
 // TTL lapsed, and applies the policy's Touch on a hit.
 func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
@@ -506,7 +547,7 @@ func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 			if sh.keys[base+w] == key {
 				if sh.ttl[set]&(1<<uint(w)) != 0 && sh.deadline[base+w] <= c.now() {
 					exK, exV := c.expireLocked(sh, set, w)
-					sh.hm[tenant].misses++
+					sh.stats[tenant].Misses++
 					sh.mu.Unlock()
 					if c.onExpire != nil {
 						c.onExpire(exK, exV)
@@ -515,7 +556,7 @@ func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 					var zero V
 					return zero, false
 				}
-				sh.hm[tenant].hits++
+				sh.stats[tenant].Hits++
 				sh.pol.Touch(set, w, tenant)
 				v := sh.vals[base+w]
 				sh.mu.Unlock()
@@ -523,7 +564,7 @@ func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 			}
 		}
 	}
-	sh.hm[tenant].misses++
+	sh.stats[tenant].Misses++
 	sh.mu.Unlock()
 	var zero V
 	return zero, false
@@ -746,9 +787,10 @@ func (c *Cache[K, V]) expireLocked(sh *shard[K, V], set, way int) (K, V) {
 	return k, v
 }
 
-// Len returns the number of live entries across all shards. It reads each
-// shard's counter atomically without taking its lock, so the result is a
-// consistent per-shard (not cross-shard) snapshot — O(shards), no probe.
+// Len returns the number of live entries across all lock domains. It
+// reads each domain's counter atomically without taking its lock, so the
+// result is a consistent per-domain (not cross-domain) snapshot —
+// O(domains), no probe.
 func (c *Cache[K, V]) Len() int {
 	var n int64
 	for i := range c.shards {
@@ -763,11 +805,13 @@ func (c *Cache[K, V]) Capacity() int { return len(c.shards) * c.sets * c.ways }
 // Ways returns the per-set associativity.
 func (c *Cache[K, V]) Ways() int { return c.ways }
 
-// Sets returns the number of sets per shard.
-func (c *Cache[K, V]) Sets() int { return c.sets }
+// Sets returns the number of sets per shard, as configured by WithSets.
+func (c *Cache[K, V]) Sets() int { return c.sets << c.splitBits }
 
-// Shards returns the number of independently locked shards.
-func (c *Cache[K, V]) Shards() int { return len(c.shards) }
+// Shards returns the shard count configured by WithShards. The cache may
+// lock finer than that: each shard can be split into several lock
+// domains of contiguous sets, which keeps every key's set and way.
+func (c *Cache[K, V]) Shards() int { return len(c.shards) >> c.splitBits }
 
 // Tenants returns the number of partitions the cache was built with.
 func (c *Cache[K, V]) Tenants() int { return c.tenants }
@@ -802,18 +846,16 @@ func (c *Cache[K, V]) Quotas() []int {
 	return append([]int(nil), c.quotas...)
 }
 
-// Stats returns per-tenant counters aggregated over all shards. Each
-// shard's counters are read under its lock, so the result is per-shard
-// (not cross-shard) consistent.
+// Stats returns per-tenant counters aggregated over all lock domains.
+// Each domain's counters are read under its lock, so the result is
+// per-domain (not cross-domain) consistent.
 func (c *Cache[K, V]) Stats() []TenantStats {
 	out := make([]TenantStats, c.tenants)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for t := range out {
-			out[t].add(sh.stats[t])
-			out[t].Hits += sh.hm[t].hits
-			out[t].Misses += sh.hm[t].misses
+			out[t].add(sh.stats[t].TenantStats)
 		}
 		sh.mu.Unlock()
 	}

@@ -75,8 +75,7 @@ func (m *refModel[K, V]) syncMasks() {
 }
 
 func (m *refModel[K, V]) locate(key K) (int, int) {
-	h := maphash.Comparable(m.c.seed, key)
-	return int(h & m.c.shardMask), m.c.setOf(h)
+	return m.c.place(maphash.Comparable(m.c.seed, key))
 }
 
 // expired reports whether the occupied slot's TTL has lapsed.
@@ -367,6 +366,7 @@ func TestDifferentialAgainstLinearModel(t *testing.T) {
 		{shards: 2, sets: 8, ways: 8, tenants: 3},
 		{shards: 1, sets: 5, ways: 4, tenants: 2}, // odd sets: modulo set mapping
 		{shards: 4, sets: 16, ways: 16, tenants: 4},
+		{shards: 2, sets: 64, ways: 8, tenants: 3}, // split: 8 lock domains of 16 sets
 	}
 	const polSeed = 99
 	for _, pol := range diffKinds {
@@ -459,6 +459,7 @@ func TestDifferentialTTLAndCost(t *testing.T) {
 		{shards: 2, sets: 8, ways: 8, tenants: 3, defaultTTL: 0},
 		{shards: 1, sets: 5, ways: 4, tenants: 2, defaultTTL: 100}, // odd sets + default TTL
 		{shards: 4, sets: 16, ways: 16, tenants: 4, defaultTTL: 0},
+		{shards: 2, sets: 64, ways: 8, tenants: 3, defaultTTL: 0}, // split: 8 lock domains
 	}
 	const polSeed = 123
 	costOf := func(k, v uint64) uint64 { return k%7 + 1 }

@@ -15,10 +15,10 @@ package cpacache
 //     are reclaimed, then live victims are evicted — chosen by the
 //     replacement policy, constrained to the over-budget tenant's own
 //     lines (mask-preferred) — until the gauges fit. Reclaim starts in
-//     the insert shard under the lock already held and walks the
-//     remaining shards one lock at a time, so enforcement never nests
-//     shard locks. Budget evictions are counted separately from capacity
-//     evictions (TenantStats.BudgetEvictions).
+//     the insert's lock domain under the lock already held and walks the
+//     remaining domains in ring order one lock at a time, so enforcement
+//     never nests domain locks. Budget evictions are counted separately
+//     from capacity evictions (TenantStats.BudgetEvictions).
 //   - Entries that could never fit are rejected with ErrEntryTooLarge
 //     instead of wedging the write in a reclaim spiral.
 //   - The pressure ladder watches the global gauge against high/low
@@ -29,14 +29,17 @@ package cpacache
 //     the low mark clears the state. Transitions are emitted through
 //     MetricsSink.Pressure.
 //
-// Gauges: gaugeTenant[t]/gaugeTotal are atomic mirrors of the per-shard
-// TenantStats.Bytes parts, updated at the exact same shard-locked points
-// (fill, update refund, clearSlotLocked). The atomics exist so admission
-// and the watermark ladder can read cross-shard totals without touching
-// every shard lock; the per-shard parts remain the source of truth Stats
-// aggregates. Because the decrement happens under the shard lock before
-// the slot's OnEvict callback runs, a Snapshot taken during an in-flight
-// budget eviction counts the departing line's bytes exactly once.
+// Gauges: gaugeTenant[t]/gaugeTotal are atomic mirrors of the per-domain
+// TenantStats.Bytes parts, updated at the exact same domain-locked points
+// (fill, update refund, clearSlotLocked). They are the governor's own:
+// allocated and written only under a hard limit, because only stillOver
+// and checkPressure read them, re-checking the totals after every single
+// reclaim without touching every domain lock. Every other reader —
+// Stats, UsedBytes, Snapshot — sums the per-domain parts, which remain
+// the source of truth. Because the decrement happens under the domain
+// lock before the slot's OnEvict callback runs, a Snapshot taken during
+// an in-flight budget eviction counts the departing line's bytes exactly
+// once.
 //
 // The reclaim scan order is deterministic (sets ascending, expired
 // before live, owner-scoped before global) so the differential model
@@ -110,16 +113,21 @@ const (
 func (c *Cache[K, V]) enforcing() bool { return c.hardBudgets || c.maxBytes > 0 }
 
 // gaugeAdd/gaugeSub maintain the atomic byte gauges alongside the
-// per-shard TenantStats.Bytes parts. Callers hold the owning shard's lock
-// and only call when cost accounting is on (sh.cost != nil).
+// per-domain TenantStats.Bytes parts when a hard limit reads them.
+// Callers hold the owning domain's lock and only call when cost
+// accounting is on (sh.cost != nil).
 func (c *Cache[K, V]) gaugeAdd(tenant int16, n uint64) {
-	c.gaugeTenant[tenant].Add(int64(n))
-	c.gaugeTotal.Add(int64(n))
+	if c.gaugeTenant != nil {
+		c.gaugeTenant[tenant].Add(int64(n))
+		c.gaugeTotal.Add(int64(n))
+	}
 }
 
 func (c *Cache[K, V]) gaugeSub(tenant int16, n uint64) {
-	c.gaugeTenant[tenant].Add(-int64(n))
-	c.gaugeTotal.Add(-int64(n))
+	if c.gaugeTenant != nil {
+		c.gaugeTenant[tenant].Add(-int64(n))
+		c.gaugeTotal.Add(-int64(n))
+	}
 }
 
 // admitCost rejects an entry that could never fit under the hard limits
@@ -293,18 +301,19 @@ func (c *Cache[K, V]) budgetEvictLocked(sh *shard[K, V], set, way int, s *batchS
 	}
 }
 
-// enforceAcross continues enforcement over the remaining shards when the
-// insert shard alone could not satisfy the budgets (a tenant's bytes live
-// wherever its keys hashed). Shards are visited in ring order starting
-// after the insert shard, one lock at a time — enforcement never holds
-// two shard locks, so concurrent writers cannot deadlock — with buffered
-// callbacks flushed between shards. Caller holds no shard lock.
+// enforceAcross continues enforcement over the remaining lock domains
+// when the insert's domain alone could not satisfy the budgets (a
+// tenant's bytes live wherever its keys hashed). Domains are visited in
+// ring order starting after the insert's, one lock at a time —
+// enforcement never holds two domain locks, so concurrent writers cannot
+// deadlock — with buffered callbacks flushed between domains. Caller
+// holds no domain lock.
 func (c *Cache[K, V]) enforceAcross(tenant, protIdx int, s *batchScratch[K, V]) {
 	for off := 1; off < len(c.shards); off++ {
 		if !c.overBudget(tenant) {
 			return
 		}
-		sh := &c.shards[(protIdx+off)&int(c.shardMask)]
+		sh := &c.shards[(protIdx+off)%len(c.shards)]
 		sh.mu.Lock()
 		c.enforceShardLocked(sh, tenant, -1, -1, s)
 		sh.mu.Unlock()
@@ -318,9 +327,8 @@ func (c *Cache[K, V]) enforceAcross(tenant, protIdx int, s *batchScratch[K, V]) 
 // two predictable branches.
 func (c *Cache[K, V]) setWithDeadline(tenant int, key K, value V, dl int64) error {
 	h := maphash.Comparable(c.seed, key)
-	si := int(h & c.shardMask)
+	si, set := c.place(h)
 	sh := &c.shards[si]
-	set := c.setOf(h)
 	tag := tagOf(h)
 	var cost uint64
 	if c.costFn != nil {
@@ -423,14 +431,15 @@ func (c *Cache[K, V]) Pressure() PressureState {
 	return PressureState(c.pressure.Load())
 }
 
-// UsedBytes returns the resident WithCost total across all tenants and
-// shards — the gauge the hard limits and watermarks are enforced against.
+// UsedBytes returns the resident WithCost total across all tenants, the
+// sum of Stats()[t].Bytes (so per-domain, not cross-domain, consistent).
 // Always 0 without WithCost.
 func (c *Cache[K, V]) UsedBytes() uint64 {
-	if c.costFn == nil {
-		return 0
+	var n uint64
+	for _, s := range c.Stats() {
+		n += s.Bytes
 	}
-	return uint64(c.gaugeTotal.Load())
+	return n
 }
 
 // MaxBytes returns the WithMaxBytes global cap (0 = uncapped).

@@ -55,7 +55,7 @@ func (m *refModel[K, V]) setHard(tenant int, key K, value V, dl int64) error {
 				if !m.overBudgetM(tenant) {
 					break
 				}
-				m.enforceShard((si+off)&int(m.c.shardMask), tenant, -1, -1)
+				m.enforceShard((si+off)%len(m.keys), tenant, -1, -1)
 			}
 		}
 	}
@@ -191,6 +191,7 @@ func TestDifferentialHardBudgets(t *testing.T) {
 		{shards: 2, sets: 8, ways: 8, tenants: 3, defaultTTL: 0},
 		{shards: 1, sets: 5, ways: 4, tenants: 2, defaultTTL: 100},
 		{shards: 4, sets: 16, ways: 16, tenants: 4, defaultTTL: 0},
+		{shards: 2, sets: 64, ways: 8, tenants: 3, defaultTTL: 0}, // split: 8 lock domains
 	}
 	const polSeed = 321
 	costOf := func(k, v uint64) uint64 {

@@ -19,8 +19,8 @@ import (
 // lists, so inserts, moves and removals are O(1) and allocation-free —
 // into the bucket of the wheel level matching its distance-to-deadline,
 // and a sweep tick visits only the entries that are actually due instead
-// of scanning sets. A tick that finds a shard's lock contended skips that
-// shard (backpressure; the entries remain linked and the next tick
+// of scanning sets. A tick that finds a lock domain contended skips that
+// domain (backpressure; the entries remain linked and the next tick
 // retries) and reports the skip through the metrics sink.
 //
 // The TTL clock is deliberately coarse: a background goroutine stores
@@ -324,8 +324,8 @@ func (c *Cache[K, V]) sweepLoop() {
 	}
 }
 
-// sweepOnce runs one sweeper tick over every shard: advance the wheel,
-// reclaim due entries, run OnExpire outside the lock. A shard whose
+// sweepOnce runs one sweeper tick over every lock domain: advance the
+// wheel, reclaim due entries, run OnExpire outside the lock. A domain whose
 // mutex is contended is skipped — the data plane owns it right now, and
 // whatever was due stays linked for the next tick — with the skip
 // surfaced through SweepEvent.Skipped. The exK/exV buffers are reused

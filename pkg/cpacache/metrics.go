@@ -21,7 +21,8 @@ type MetricsSink struct {
 	// that were held back by hysteresis.
 	Rebalance func(RebalanceEvent)
 	// Sweep is called after a background sweep tick that reclaimed at
-	// least one expired entry or skipped at least one contended shard.
+	// least one expired entry or skipped at least one contended lock
+	// domain.
 	Sweep func(SweepEvent)
 	// PolicySwitch is called once per tenant whose replacement policy
 	// the auto-selector (WithPolicyAutoSelect) switched at a rebalance
@@ -53,7 +54,7 @@ type RebalanceEvent struct {
 	// (too few samples, or too little predicted gain).
 	Applied bool
 	// Contended is true for auto ticks that were skipped before any
-	// proposal was computed because a shard's lock was busy (the
+	// proposal was computed because a lock domain was busy (the
 	// backpressure rule: the background control plane never queues
 	// behind a data-plane burst). New is nil on contended events.
 	Contended bool
@@ -90,21 +91,21 @@ type PolicySwitchEvent struct {
 // entries or backed off from contention.
 type SweepEvent struct {
 	// Visited is the number of timing-wheel entries the tick examined
-	// across all shards — due entries plus any that were parked just
+	// across all lock domains — due entries plus any that were parked just
 	// short of their deadline. The wheel visits only deadline-carrying
 	// slots, never whole sets.
 	Visited int
 	// Expired is the number of entries reclaimed this tick.
 	Expired int
-	// Skipped is the number of shards whose sweep was skipped this tick
+	// Skipped is the number of lock domains whose sweep was skipped this tick
 	// because their lock was contended; their due entries remain linked
 	// and the next tick retries.
 	Skipped int
 }
 
 // Snapshot is a point-in-time view of the cache's lifecycle state, taken
-// with per-shard consistency (shard locks are taken one at a time, so
-// cross-shard totals can skew by in-flight operations, exactly like
+// with per-domain consistency (lock domains are taken one at a time, so
+// cross-domain totals can skew by in-flight operations, exactly like
 // Stats).
 type Snapshot struct {
 	// Tenants holds the per-tenant counters, as Stats returns them.
@@ -127,14 +128,15 @@ type Snapshot struct {
 	// over the cache's lifetime (lazily reclaimed entries are counted
 	// per tenant in Tenants[t].Expirations alongside these).
 	SweepExpired uint64
-	// SweepSkipped counts shard sweeps skipped because the shard lock
+	// SweepSkipped counts domain sweeps skipped because the domain lock
 	// was contended when the sweeper's tick tried to take it.
 	SweepSkipped uint64
 	// PolicySwitches counts tenant policy switches the auto-selector
 	// has applied over the cache's lifetime (0 without auto-selection).
 	PolicySwitches uint64
-	// UsedBytes is the global resident-cost gauge (0 without WithCost)
-	// and MaxBytes the WithMaxBytes cap (0 when uncapped).
+	// UsedBytes is the resident-cost total, the sum of Tenants[t].Bytes
+	// (0 without WithCost), and MaxBytes the WithMaxBytes cap (0 when
+	// uncapped).
 	UsedBytes, MaxBytes uint64
 	// Pressure is the ladder state at the frame (always PressureOK
 	// without WithMaxBytes).
@@ -155,10 +157,12 @@ func (c *Cache[K, V]) Snapshot() Snapshot {
 		Capacity:           c.Capacity(),
 		SweepExpired:       c.nSweepExpired.Load(),
 		SweepSkipped:       c.nSweepSkipped.Load(),
-		UsedBytes:          c.UsedBytes(),
 		MaxBytes:           c.maxBytes,
 		Pressure:           c.Pressure(),
 		BudgetEvictedBytes: c.nBudgetEvictBytes.Load(),
+	}
+	for _, t := range s.Tenants {
+		s.UsedBytes += t.Bytes
 	}
 	// Quotas and the rebalance counters read under quotaMu (which
 	// rebalance holds across install + counter bump), so a frame never

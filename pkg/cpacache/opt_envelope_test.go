@@ -113,8 +113,8 @@ func runOptEnvWorkload(t *testing.T, kind plru.Kind, wl string) (cacheHitRate, o
 
 	tr := &optref.Trace{}
 	optSetOf := func(key uint64) int {
-		h := maphash.Comparable(c.seed, key)
-		return int(h&c.shardMask)*sets + c.setOf(h)
+		d, set := c.place(maphash.Comparable(c.seed, key))
+		return d*c.sets + set
 	}
 
 	rng := uint64(0x0b7_e27) ^ uint64(kind)<<32 | 1

@@ -138,9 +138,11 @@ func newSettings(opts []Option) (settings, error) {
 	return s, nil
 }
 
-// WithShards sets the number of independently locked shards (a power of
-// two; default 1). More shards means less lock contention for concurrent
-// workloads; total capacity scales with the shard count.
+// WithShards sets the number of shards (a power of two; default 1); total
+// capacity scales with the shard count. It does not fix the lock
+// granularity: with a power-of-two set count New splits each shard into
+// lock domains of contiguous sets, up to 64 domains per cache, keeping
+// every key's set and way (see Shards).
 func WithShards(n int) Option {
 	return optionFunc(func(s *settings) error { s.shards = n; return nil })
 }
@@ -175,12 +177,14 @@ func WithPartitions(tenants int) Option {
 
 // WithProfileSampling profiles one in every n sets per shard for the
 // Rebalance miss curves (default 16). Larger n is cheaper and noisier;
-// n = 1 profiles every set. Membership is precomputed into a per-shard
-// bitmap, so accesses to the other n-1 of every n sets skip the profiler
-// with a single inlined bit test. Profiled sets always take the locked
-// lookup path (the UMON stacks need mutual exclusion), which is why the
-// default halved when lookups went optimistic: 1-in-16 keeps the
-// profiler's share of lookup cost where 1-in-8 sat on the locked plane.
+// n = 1 profiles every set, counted by its index in the configured shard
+// whatever lock domain holds it. Membership is precomputed into a
+// per-domain bitmap, so accesses to the other n-1 of every n sets skip
+// the profiler with a single inlined bit test. Profiled sets always take
+// the locked lookup path (the UMON stacks need mutual exclusion), which
+// is why the default halved when lookups went optimistic: 1-in-16 keeps
+// the profiler's share of lookup cost where 1-in-8 sat on the locked
+// plane.
 func WithProfileSampling(n int) Option {
 	return optionFunc(func(s *settings) error { s.sampleEvery = n; return nil })
 }
@@ -221,9 +225,9 @@ func WithDefaultTTL(d time.Duration) Option {
 
 // WithTTLSweep sets how often the background sweeper reclaims expired
 // entries (default 100ms; 0 disables sweeping, leaving reclamation to the
-// lazy lookup path). Each tick advances every shard's hierarchical
+// lazy lookup path). Each tick advances every lock domain's hierarchical
 // timing wheel, visiting only the entries that are actually due rather
-// than scanning sets; a shard whose lock is contended is skipped for
+// than scanning sets; a domain whose lock is contended is skipped for
 // that tick (see SweepEvent.Skipped). The sweeper starts when TTLs are
 // first used and stops at Close.
 func WithTTLSweep(interval time.Duration) Option {

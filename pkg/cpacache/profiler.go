@@ -1,7 +1,7 @@
 package cpacache
 
 // profiler collects per-tenant stack-distance histograms over a sampled
-// subset of one shard's sets, in the style of the paper's auxiliary tag
+// subset of one lock domain's sets, in the style of the paper's auxiliary tag
 // directory / UMON monitors (§IV): every sampled set keeps, per tenant, a
 // private true-LRU stack of the keys that tenant accessed, and each access
 // records the key's 1-based stack position (or a miss when the key is
@@ -15,7 +15,7 @@ package cpacache
 // sampleEvery of the cache never pay a profiler call at all. slot holds
 // each sampled set's stack-block index so record does no division.
 //
-// The profiler lives under the shard mutex, so it needs no locking of its
+// The profiler lives under the domain mutex, so it needs no locking of its
 // own. Its stacks are key slices, not cache slots: a tenant's profile sees
 // its own accesses only, undisturbed by other tenants' evictions — the
 // "isolated miss curve" the partitioning model assumes.
@@ -23,7 +23,7 @@ type profiler[K comparable] struct {
 	depth        int // stack depth == ways
 	tenants      int
 	sampledCount int // number of sampled sets (shadowDir sizes itself on it)
-	// sampleBits[set/64] bit set%64 marks sets where set % every == 0.
+	// sampleBits[set/64] bit set%64 marks the sampled sets.
 	sampleBits []uint64
 	// slot[set] is the sampled-set ordinal (stack-block index), -1 when
 	// the set is not sampled.
@@ -35,17 +35,17 @@ type profiler[K comparable] struct {
 	hist [][]uint64
 }
 
-func (p *profiler[K]) init(sets, ways, tenants, every int) {
-	if every > sets {
-		every = sets
-	}
+// init sizes the profiler for a domain of sets sets whose first set has
+// index first in its configured shard; set s is sampled iff
+// (first+s) % every == 0.
+func (p *profiler[K]) init(sets, ways, tenants, every, first int) {
 	p.depth = ways
 	p.tenants = tenants
 	p.sampleBits = make([]uint64, (sets+63)/64)
 	p.slot = make([]int32, sets)
 	sampled := 0
 	for set := 0; set < sets; set++ {
-		if set%every == 0 {
+		if (first+set)%every == 0 {
 			p.sampleBits[set>>6] |= 1 << (uint(set) & 63)
 			p.slot[set] = int32(sampled)
 			sampled++
@@ -103,7 +103,7 @@ func (p *profiler[K]) record(set, tenant int, key K) {
 	p.stacks[idx] = st
 }
 
-// addCurves accumulates this shard's miss curves into curves[t][w] for
+// addCurves accumulates this domain's miss curves into curves[t][w] for
 // w in 0..depth: the number of profiled accesses that would miss if the
 // tenant owned w ways (its hits at distances > w plus its cold misses).
 func (p *profiler[K]) addCurves(curves [][]uint64) {

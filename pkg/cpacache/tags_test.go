@@ -95,7 +95,8 @@ func findCollider[V any](c *Cache[uint64, V], ref uint64, start uint64) (uint64,
 	for k, n := start, 0; n < 1<<18; n++ {
 		if k != ref {
 			h := maphash.Comparable(c.seed, k)
-			if h&c.shardMask == href&c.shardMask && c.setOf(h) == c.setOf(href) && tagOf(h) == tagOf(href) {
+			d, set := c.place(h)
+			if dref, setref := c.place(href); d == dref && set == setref && tagOf(h) == tagOf(href) {
 				return k, true
 			}
 		}

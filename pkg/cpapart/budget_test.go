@@ -73,6 +73,23 @@ func TestWayCaps(t *testing.T) {
 			ways:        8,
 			want:        []int{1, 7},
 		},
+		{
+			// Equal budgets tie: every surplus way goes to the lower id.
+			name:        "equal budgets raise the lower id",
+			budgets:     []uint64{512, 512},
+			bytesPerWay: []uint64{512, 512},
+			ways:        8,
+			want:        []int{7, 1},
+		},
+		{
+			// Thread 0 holds the largest of three budgets, so the one
+			// missing way goes to it, not to a later thread.
+			name:        "largest budget at thread 0 of three",
+			budgets:     []uint64{2048, 512, 1024},
+			bytesPerWay: []uint64{512, 512, 512},
+			ways:        8,
+			want:        []int{5, 1, 2},
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
