@@ -87,7 +87,7 @@ mem-storm:
 # instrumentation skews the accounting. Alloc regressions fail here fast
 # even on hosts too noisy for ns/op comparisons.
 alloc-guard:
-	$(GO) test -run 'ZeroAlloc|Allocs' ./pkg/cpacache/ ./pkg/cpapart/ ./internal/server/
+	$(GO) test -run 'ZeroAlloc|Allocs' ./pkg/cpacache/ ./pkg/cpapart/ ./pkg/plru/ ./internal/server/
 
 # staticcheck / govulncheck run when installed and are skipped otherwise,
 # so `make ci` works in hermetic containers; the CI lint job always runs

@@ -19,11 +19,12 @@
 // core's way mask. With fixed associativity the whole replay is O(1)
 // amortized per access.
 //
-// Mask constraints mirror the online policies exactly: a fill prefers
-// an invalid way inside the requester's partition mask, then any
-// invalid way (cold misses may spill across partitions, as in both
-// internal/cache and pkg/cpacache), and only then evicts — always from
-// inside the mask. Masks can change mid-trace (the paper's dynamic
+// Mask constraints follow pkg/cpacache's fill order: a fill prefers an
+// invalid way inside the requester's partition mask, then any invalid
+// way (cold misses may spill across partitions), and only then evicts —
+// always from inside the mask. internal/cache differs on cold fills: it
+// takes the first invalid way of the set, inside the mask or not, so
+// with partitions the two orders can pick different invalid ways. Masks can change mid-trace (the paper's dynamic
 // repartitioning); the recorded mask updates replay at the exact trace
 // positions they occurred at.
 //

@@ -194,7 +194,14 @@ func TestConcurrentLifecycleStress(t *testing.T) {
 		keySpace = 4_096
 		tenants  = 4
 	)
+	// sentinel lies outside the workers' key space. It is stored with a
+	// short TTL once they finish, and the run waits for the sweeper to
+	// expire it, so TTL coverage does not depend on how fast the workers
+	// ran.
+	const sentinel = keySpace
 	var badEvict, badExpire atomic.Uint64
+	sentinelExpired := make(chan struct{})
+	var sentinelOnce sync.Once
 	c, err := New[uint64, uint64](
 		WithShards(8), WithSets(64), WithWays(8),
 		WithPolicy(plru.BT), WithPartitions(tenants),
@@ -211,6 +218,9 @@ func TestConcurrentLifecycleStress(t *testing.T) {
 		WithOnExpire(func(k, v uint64) {
 			if k != v {
 				badExpire.Add(1)
+			}
+			if k == sentinel {
+				sentinelOnce.Do(func() { close(sentinelExpired) })
 			}
 		}),
 	)
@@ -278,6 +288,13 @@ func TestConcurrentLifecycleStress(t *testing.T) {
 	}
 	if got, cap := c.Len(), c.Capacity(); got > cap {
 		t.Fatalf("Len %d exceeds capacity %d", got, cap)
+	}
+	if err := c.SetTenantTTL(0, sentinel, sentinel, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sentinelExpired:
+	case <-time.After(10 * time.Second):
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -179,7 +179,7 @@ func (p *ARCPolicy) Invalidate(set, way int) {
 // no line of the preferred one. Victim reads but never mutates policy
 // state, and never allocates.
 func (p *ARCPolicy) Victim(set, core int, allowed WayMask) int {
-	checkVictimArgs(p, set, allowed)
+	checkVictimArgs(set, p.sets, p.ways, allowed)
 	m := uint64(allowed) & uint64(Full(p.ways))
 	if w := p.oldest(set, m, arcFree); w >= 0 {
 		return w

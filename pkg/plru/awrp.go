@@ -96,7 +96,7 @@ func (p *AWRPPolicy) Invalidate(set, way int) {
 // Victim returns the minimum-weight way within the allowed mask, breaking
 // ties toward the lowest way index. It never allocates.
 func (p *AWRPPolicy) Victim(set, core int, allowed WayMask) int {
-	checkVictimArgs(p, set, allowed)
+	checkVictimArgs(set, p.sets, p.ways, allowed)
 	base := set * p.ways
 	best := -1
 	var bestW uint64

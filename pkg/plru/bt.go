@@ -1,9 +1,6 @@
 package plru
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // BTPolicy implements Binary Tree pseudo-LRU (paper §III-B, the IBM
 // scheme): each set carries ways-1 tree bits arranged as a complete binary
@@ -25,15 +22,15 @@ import (
 // victims (a property covered by tests).
 type BTPolicy struct {
 	sets, ways, levels int
-	tree               []uint8 // sets*(ways-1), heap-indexed per set (slot 0 unused within each set's block of `ways` entries)
-
-	// For 8-way trees the set's whole node block is exactly one 64-bit
-	// word, so Touch/Invalidate collapse to a single masked word store
-	// instead of a levels-deep loop: clearMask[way] zeroes the three
-	// path node bytes and touchMask/invMask[way] write them pointing
-	// away from (Touch) or at (Invalidate) the way. Nil for other
-	// associativities, which keep the loop.
-	clearMask, touchMask, invMask []uint64
+	// tree holds one word per set: heap node i (1..ways-1, root 1,
+	// children 2i and 2i+1) is bit i-1, so a set's state is exactly the
+	// ways-1 bits Table I(a) prices.
+	tree []uint64
+	// path[way] selects the levels node bits on the way's root path and
+	// away[way] is the value Touch writes there: each bit points to the
+	// other side of the way. Invalidate writes path&^away, pointing each
+	// bit at the way.
+	path, away []uint64
 }
 
 // NewBTPolicy returns a BT policy. The associativity must be a power of
@@ -47,23 +44,17 @@ func NewBTPolicy(sets, ways int) *BTPolicy {
 		sets:   sets,
 		ways:   ways,
 		levels: bits.Len(uint(ways)) - 1,
-		// Allocate `ways` slots per set so heap indices 1..ways-1 map
-		// directly; slot 0 of each block is unused.
-		tree: make([]uint8, sets*ways),
+		tree:   make([]uint64, sets),
+		path:   make([]uint64, ways),
+		away:   make([]uint64, ways),
 	}
-	if ways == 8 {
-		p.clearMask = make([]uint64, ways)
-		p.touchMask = make([]uint64, ways)
-		p.invMask = make([]uint64, ways)
-		for way := 0; way < ways; way++ {
-			i := 1
-			for d := 0; d < p.levels; d++ {
-				dir := p.dirOf(way, d)
-				p.clearMask[way] |= 0xFF << (8 * uint(i))
-				p.touchMask[way] |= uint64(1-dir) << (8 * uint(i))
-				p.invMask[way] |= uint64(dir) << (8 * uint(i))
-				i = 2*i + dir
-			}
+	for way := 0; way < ways; way++ {
+		i := 1
+		for d := 0; d < p.levels; d++ {
+			dir := p.dirOf(way, d)
+			p.path[way] |= 1 << uint(i-1)
+			p.away[way] |= uint64(1-dir) << uint(i-1)
+			i = 2*i + dir
 		}
 	}
 	return p
@@ -87,11 +78,6 @@ func (p *BTPolicy) Levels() int { return p.levels }
 // with or without partitioning.
 func (p *BTPolicy) SetPartition(masks []WayMask) {}
 
-// node returns the tree bit at heap index i of set.
-func (p *BTPolicy) node(set, i int) uint8 { return p.tree[set*p.ways+i] }
-
-func (p *BTPolicy) setNode(set, i int, v uint8) { p.tree[set*p.ways+i] = v }
-
 // dirOf returns the branch direction (0 = left, 1 = right) taken at depth
 // `depth` on the path from the root to `way`.
 func (p *BTPolicy) dirOf(way, depth int) int {
@@ -101,20 +87,9 @@ func (p *BTPolicy) dirOf(way, depth int) int {
 // Touch promotes (set, way): every tree bit on the path from the root to
 // the way is set to point away from it, making the way maximally recent.
 // Only log2(ways) bits change — the paper's Table I(b) "update position"
-// cost for BT; for the 8-way tree they change in one masked word store.
+// cost for BT — in one masked word store.
 func (p *BTPolicy) Touch(set, way, core int) {
-	if p.clearMask != nil {
-		t := p.tree[set*8 : set*8+8 : set*8+8]
-		w := binary.LittleEndian.Uint64(t)
-		binary.LittleEndian.PutUint64(t, w&^p.clearMask[way]|p.touchMask[way])
-		return
-	}
-	i := 1
-	for d := 0; d < p.levels; d++ {
-		dir := p.dirOf(way, d)
-		p.setNode(set, i, uint8(1-dir)) // point pseudo-LRU to the other side
-		i = 2*i + dir
-	}
+	p.tree[set] = p.tree[set]&^p.path[way] | p.away[way]
 }
 
 // Fill is Touch: BT keeps no per-line identity, so a new line just turns
@@ -125,25 +100,15 @@ func (p *BTPolicy) Fill(set, way, core int, sig uint8) { p.Touch(set, way, core)
 // the inverse of Touch — so an unmasked victim walk lands exactly on the
 // freed way. Only log2(ways) bits change.
 func (p *BTPolicy) Invalidate(set, way int) {
-	if p.clearMask != nil {
-		t := p.tree[set*8 : set*8+8 : set*8+8]
-		w := binary.LittleEndian.Uint64(t)
-		binary.LittleEndian.PutUint64(t, w&^p.clearMask[way]|p.invMask[way])
-		return
-	}
-	i := 1
-	for d := 0; d < p.levels; d++ {
-		dir := p.dirOf(way, d)
-		p.setNode(set, i, uint8(dir)) // point pseudo-LRU at the freed way
-		i = 2*i + dir
-	}
+	p.tree[set] = p.tree[set]&^p.path[way] | p.path[way]&^p.away[way]
 }
 
 // Victim walks the tree bits from the root, restricted to the allowed
 // mask: at each node it follows the stored bit when both subtrees contain
 // allowed ways and otherwise the only viable side.
 func (p *BTPolicy) Victim(set, core int, allowed WayMask) int {
-	checkVictimArgs(p, set, allowed)
+	checkVictimArgs(set, p.sets, p.ways, allowed)
+	t := p.tree[set]
 	lo, hi := 0, p.ways
 	i := 1
 	for d := 0; d < p.levels; d++ {
@@ -153,7 +118,7 @@ func (p *BTPolicy) Victim(set, core int, allowed WayMask) int {
 		var dir int
 		switch {
 		case leftOK && rightOK:
-			dir = int(p.node(set, i))
+			dir = int(t >> uint(i-1) & 1)
 		case leftOK:
 			dir = 0
 		default:
@@ -177,6 +142,7 @@ func (p *BTPolicy) VictimForced(set int, up, down []bool) int {
 	if len(up) != p.levels || len(down) != p.levels {
 		panic("plru: force vectors must have log2(ways) entries")
 	}
+	t := p.tree[set]
 	i := 1
 	way := 0
 	for d := 0; d < p.levels; d++ {
@@ -190,7 +156,7 @@ func (p *BTPolicy) VictimForced(set int, up, down []bool) int {
 		case down[d]:
 			dir = 1
 		default:
-			dir = int(p.node(set, i))
+			dir = int(t >> uint(i-1) & 1)
 		}
 		way = way<<1 | dir
 		i = 2*i + dir
@@ -202,10 +168,11 @@ func (p *BTPolicy) VictimForced(set int, up, down []bool) int {
 // `way`, packed MSB-first (root bit highest). The BT profiling logic XORs
 // these against the way's ID bits.
 func (p *BTPolicy) PathBits(set, way int) int {
+	t := p.tree[set]
 	v := 0
 	i := 1
 	for d := 0; d < p.levels; d++ {
-		v = v<<1 | int(p.node(set, i))
+		v = v<<1 | int(t>>uint(i-1)&1)
 		i = 2*i + p.dirOf(way, d)
 	}
 	return v

@@ -1,6 +1,7 @@
 package plru
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -83,10 +84,9 @@ func TestBTEstimatorPaperExample(t *testing.T) {
 	// With tree bits such that the path reads 10, the estimate is
 	// 4 - (11 XOR 10) = 4 - 1 = 3.
 	p := NewBTPolicy(1, 4)
-	// Way 3's path: root (heap 1), right child (heap 3). Set root=1,
-	// node3=0 => PathBits(3) = 0b10.
-	p.setNode(0, 1, 1)
-	p.setNode(0, 3, 0)
+	// Way 3's path: root (heap 1, bit 0), right child (heap 3, bit 2).
+	// Set root=1, node3=0 => PathBits(3) = 0b10.
+	p.SetTreeBits(0, 0b001)
 	if got := p.PathBits(0, 3); got != 0b10 {
 		t.Fatalf("PathBits = %b, want 10", got)
 	}
@@ -149,9 +149,7 @@ func TestBTVictimForcedMatchesTruthTable(t *testing.T) {
 	// Figure 5: up forces the upper (left) subtree regardless of the BT
 	// bit; down forces the lower (right); neither defers to the bit.
 	p := NewBTPolicy(1, 4)
-	p.setNode(0, 1, 1) // root says right
-	p.setNode(0, 2, 0)
-	p.setNode(0, 3, 1)
+	p.SetTreeBits(0, 0b101) // root (bit 0) says right, node 2 left, node 3 right
 
 	up := []bool{true, false}
 	down := []bool{false, false}
@@ -244,15 +242,9 @@ func TestBTOnlyLog2BitsChangePerTouch(t *testing.T) {
 	p := NewBTPolicy(1, ways)
 	rng := xrand.New(5)
 	for i := 0; i < 200; i++ {
-		before := append([]uint8(nil), p.tree...)
+		before := p.tree[0]
 		p.Touch(0, rng.Intn(ways), 0)
-		changed := 0
-		for j := range before {
-			if before[j] != p.tree[j] {
-				changed++
-			}
-		}
-		if changed > 4 {
+		if changed := bits.OnesCount64(before ^ p.tree[0]); changed > 4 {
 			t.Fatalf("touch changed %d bits, max is log2(16)=4", changed)
 		}
 	}

@@ -82,4 +82,20 @@ func TestMaskBeyondWaysIgnored(t *testing.T) {
 	if v < 0 || v >= 4 {
 		t.Fatalf("victim %d out of range with oversized mask", v)
 	}
+	// Nor may they widen NRU's reset scope past the set: touching all
+	// four ways of either set under a 0xFF partition is a full-scope
+	// reset that keeps only the last way touched.
+	for set := 0; set < 2; set++ {
+		n := NewNRUPolicy(2, 4, 1)
+		n.SetPartition([]WayMask{0xFF})
+		for w := 0; w < 4; w++ {
+			n.Touch(set, w, 0)
+		}
+		if got := n.UsedCount(set); got != 1 || !n.Used(set, 3) {
+			t.Fatalf("set %d: UsedCount %d after touching every way under a 0xFF scope, want 1 (way 3)", set, got)
+		}
+		if got := n.UsedCount(1 - set); got != 0 {
+			t.Fatalf("set %d's touches left %d used bits in set %d", set, got, 1-set)
+		}
+	}
 }

@@ -79,7 +79,7 @@ func (p *LRUPolicy) Invalidate(set, way int) {
 
 // Victim returns the least recently used way within the allowed mask.
 func (p *LRUPolicy) Victim(set, core int, allowed WayMask) int {
-	checkVictimArgs(p, set, allowed)
+	checkVictimArgs(set, p.sets, p.ways, allowed)
 	base := set * p.ways
 	best, bestAge := -1, -1
 	for w := 0; w < p.ways; w++ {

@@ -18,8 +18,8 @@ import "math/bits"
 // belongs to the line currently accessed").
 type NRUPolicy struct {
 	sets, ways, cores int
-	used              []bool // sets*ways
-	ptr               int    // cache-global replacement pointer (way index)
+	used              []uint64 // one word per set: bit w is way w's used bit
+	ptr               int      // cache-global replacement pointer (way index)
 	masks             []WayMask
 }
 
@@ -33,7 +33,7 @@ func NewNRUPolicy(sets, ways, cores int) *NRUPolicy {
 		sets:  sets,
 		ways:  ways,
 		cores: cores,
-		used:  make([]bool, sets*ways),
+		used:  make([]uint64, sets),
 	}
 }
 
@@ -51,6 +51,7 @@ func (p *NRUPolicy) Sets() int { return p.sets }
 func (p *NRUPolicy) Pointer() int { return p.ptr }
 
 // SetPartition installs per-core masks that scope the used-bit reset rule.
+// Bits beyond the associativity are dropped, as Victim ignores them.
 // Passing nil restores unpartitioned behavior (scope = the whole set).
 func (p *NRUPolicy) SetPartition(masks []WayMask) {
 	if masks == nil {
@@ -61,6 +62,9 @@ func (p *NRUPolicy) SetPartition(masks []WayMask) {
 		panic("plru: SetPartition mask count != cores")
 	}
 	p.masks = append(p.masks[:0], masks...)
+	for i := range p.masks {
+		p.masks[i] &= Full(p.ways)
+	}
 }
 
 // scope returns the set of ways over which the used-bit invariant is
@@ -72,33 +76,17 @@ func (p *NRUPolicy) scope(core int) WayMask {
 	return p.masks[core]
 }
 
-// Touch sets the used bit of (set, way) and applies the scoped reset rule.
-// It never allocates.
+// Touch sets the used bit of (set, way) and applies the scoped reset rule:
+// if every used bit in the scope is now 1, the scope is cleared except the
+// accessed line. (If the accessed line is outside the scope — a hit in a
+// way the core does not own — the whole scope is cleared.) It never
+// allocates.
 func (p *NRUPolicy) Touch(set, way, core int) {
-	base := set * p.ways
-	p.used[base+way] = true
-	scope := p.scope(core)
-	// If every used bit in the scope is now 1, clear the scope except the
-	// accessed line. (If the accessed line is outside the scope — a hit in
-	// a way the core does not own — the whole scope is cleared.)
-	all := true
-	for v := uint64(scope); v != 0; {
-		w := bits.TrailingZeros64(v)
-		v &^= 1 << uint(w)
-		if !p.used[base+w] {
-			all = false
-			break
-		}
+	u := p.used[set] | 1<<uint(way)
+	if scope := uint64(p.scope(core)); u&scope == scope {
+		u &^= scope &^ (1 << uint(way))
 	}
-	if all {
-		for v := uint64(scope); v != 0; {
-			w := bits.TrailingZeros64(v)
-			v &^= 1 << uint(w)
-			if w != way {
-				p.used[base+w] = false
-			}
-		}
-	}
+	p.used[set] = u
 }
 
 // Fill is Touch: NRU keeps no per-line identity, so a fill just sets the
@@ -108,57 +96,36 @@ func (p *NRUPolicy) Fill(set, way, core int, sig uint8) { p.Touch(set, way, core
 // Invalidate clears the used bit of (set, way): the way reads as "not
 // recently used", so the victim scan can reclaim it immediately.
 func (p *NRUPolicy) Invalidate(set, way int) {
-	p.used[set*p.ways+way] = false
+	p.used[set] &^= 1 << uint(way)
 }
 
-// Victim scans from the global replacement pointer for the first allowed
-// way with used == 0; if every allowed way has its bit set (possible under
-// partitioning, where the set-wide invariant does not cover arbitrary
-// subsets), the allowed ways are cleared first. The global pointer then
-// rotates forward one way, as in the T2. Victim never allocates.
+// Victim picks the first allowed way with used == 0 at or after the global
+// replacement pointer, wrapping around; if every allowed way has its bit
+// set (possible under partitioning, where the set-wide invariant does not
+// cover arbitrary subsets), the allowed ways are cleared first. The global
+// pointer then rotates forward one way, as in the T2. Victim never
+// allocates.
 func (p *NRUPolicy) Victim(set, core int, allowed WayMask) int {
-	checkVictimArgs(p, set, allowed)
-	base := set * p.ways
-	victim := p.scan(base, allowed)
-	if victim < 0 {
-		// No allowed way had used == 0: clear the allowed subset and
-		// retake. This mirrors the scoped reset rule at eviction time.
-		for v := uint64(allowed) & uint64(Full(p.ways)); v != 0; {
-			w := bits.TrailingZeros64(v)
-			v &^= 1 << uint(w)
-			p.used[base+w] = false
-		}
-		victim = p.scan(base, allowed)
+	checkVictimArgs(set, p.sets, p.ways, allowed)
+	allowed &= Full(p.ways)
+	free := uint64(allowed) &^ p.used[set]
+	if free == 0 {
+		// This mirrors the scoped reset rule at eviction time.
+		p.used[set] &^= uint64(allowed)
+		free = uint64(allowed)
+	}
+	victim := bits.TrailingZeros64(free)
+	if late := free >> uint(p.ptr) << uint(p.ptr); late != 0 {
+		victim = bits.TrailingZeros64(late)
 	}
 	p.ptr = (p.ptr + 1) % p.ways
 	return victim
 }
 
-// scan looks for the first allowed way with used == 0, starting at the
-// global pointer and rotating forward.
-func (p *NRUPolicy) scan(base int, allowed WayMask) int {
-	for k := 0; k < p.ways; k++ {
-		w := (p.ptr + k) % p.ways
-		if allowed.Has(w) && !p.used[base+w] {
-			return w
-		}
-	}
-	return -1
-}
-
 // Used reports the used bit of (set, way); the NRU profiling logic reads
 // these to estimate stack distances.
-func (p *NRUPolicy) Used(set, way int) bool { return p.used[set*p.ways+way] }
+func (p *NRUPolicy) Used(set, way int) bool { return p.used[set]>>uint(way)&1 != 0 }
 
 // UsedCount returns U — the number of used bits set in the given set —
 // which the paper's eSDH estimator consumes.
-func (p *NRUPolicy) UsedCount(set int) int {
-	base := set * p.ways
-	n := 0
-	for w := 0; w < p.ways; w++ {
-		if p.used[base+w] {
-			n++
-		}
-	}
-	return n
-}
+func (p *NRUPolicy) UsedCount(set int) int { return bits.OnesCount64(p.used[set]) }

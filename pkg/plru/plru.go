@@ -17,8 +17,8 @@
 //
 // Policies are not safe for concurrent use; callers own the locking (a
 // sharded cache typically keeps one policy instance per shard behind the
-// shard lock). Touch and Victim never allocate on any policy except
-// Random's mask enumeration, so they are safe for hot paths.
+// shard lock). Touch, Fill, Invalidate and Victim never allocate on any
+// policy, so they are safe for hot paths.
 package plru
 
 import (
@@ -212,11 +212,11 @@ func validateGeometry(sets, ways int) {
 	}
 }
 
-func checkVictimArgs(p Policy, set int, allowed WayMask) {
-	if set < 0 || set >= p.Sets() {
-		panic(fmt.Sprintf("plru: set %d out of range [0,%d)", set, p.Sets()))
+func checkVictimArgs(set, sets, ways int, allowed WayMask) {
+	if set < 0 || set >= sets {
+		panic(fmt.Sprintf("plru: set %d out of range [0,%d)", set, sets))
 	}
-	if allowed&Full(p.Ways()) == 0 {
+	if allowed&Full(ways) == 0 {
 		panic("plru: Victim called with empty allowed mask")
 	}
 }

@@ -184,3 +184,27 @@ func TestRangeMask(t *testing.T) {
 		t.Errorf("rangeMask(3,3) = %v", rangeMask(3, 3))
 	}
 }
+
+// TestPolicyZeroAllocs holds the package's hot-path contract: Touch,
+// Fill, Invalidate and a masked Victim allocate nothing on any policy, at
+// the paper's 16 ways and at the widest mask.
+func TestPolicyZeroAllocs(t *testing.T) {
+	for _, ways := range []int{16, MaxWays} {
+		for _, k := range Kinds() {
+			p := New(k, 8, ways, 2, 1)
+			mask := Full(ways) &^ Full(ways/4)
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				set, way, core := i&7, i%ways, i&1
+				p.Touch(set, way, core)
+				p.Fill(set, (way+1)%ways, core, uint8(i))
+				p.Invalidate(set, (way+2)%ways)
+				p.Victim(set, core, mask)
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%v at %d ways: %v allocs per Touch+Fill+Invalidate+Victim, want 0", k, ways, allocs)
+			}
+		}
+	}
+}

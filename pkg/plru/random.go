@@ -41,7 +41,7 @@ func (p *RandomPolicy) Invalidate(set, way int) {}
 // Victim returns a uniformly random way from the allowed mask. It never
 // allocates: the i-th set bit is selected directly from the mask.
 func (p *RandomPolicy) Victim(set, core int, allowed WayMask) int {
-	checkVictimArgs(p, set, allowed)
+	checkVictimArgs(set, p.sets, p.ways, allowed)
 	m := allowed & Full(p.ways)
 	return m.Nth(p.rng.Intn(m.Count()))
 }
