@@ -11,8 +11,8 @@ import (
 // call through the word-per-set policies and through the byte- and
 // bool-per-bit reference models (refmodel_test.go), and compare every
 // return value, every introspection read and the packed state after each
-// step, at every geometry either policy supports in practice. The golden
-// sequences cover only 8 ways.
+// step: BT at every power of two from 2 to 64 ways, NRU at 1 to 64 ways
+// including odd ones. The golden sequences cover only 8 ways.
 
 const diffSets, diffSteps = 3, 20000
 
